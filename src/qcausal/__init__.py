@@ -15,7 +15,6 @@ from .causality import (
     ProductApproximation,
     SignallingReport,
     SorkinScenario,
-    gamma_functional,
     is_causal_unitary,
     is_local_channel,
     is_supported_on,
@@ -78,6 +77,7 @@ from .tensor import (
     check_density,
     embed_operator,
     frobenius_inner,
+    from_re_im,
     hermitian_basis,
     hermitian_vector,
     is_hermitian,
@@ -86,5 +86,6 @@ from .tensor import (
     polar_unitary,
     realign,
     tensor_product,
+    to_re_im,
     trace_norm,
 )

@@ -42,6 +42,7 @@ from .tensor import (
     partial_trace,
     polar_unitary,
     realign,
+    to_re_im,
     trace_norm,
 )
 
@@ -53,7 +54,7 @@ def is_supported_on(op, sites, dims: SystemDims, tol: float = DEFAULT_TOL) -> bo
     rest = tuple(s for s in range(dims.nsites) if s not in sites)
     if not rest:
         return True
-    d_rest = int(np.prod([dims.dims[s] for s in rest]))
+    d_rest = dims.block_dim(rest)
     reduced = partial_trace(op, dims, rest) / d_rest
     return bool(np.abs(op - embed_operator(reduced, sites, dims)).max() <= tol)
 
@@ -72,7 +73,7 @@ def is_local_channel(
     rest = tuple(s for s in range(c.dims.nsites) if s not in sites)
     if not rest:
         return True
-    d_rest = int(np.prod([c.dims.dims[s] for s in rest]))
+    d_rest = c.dims.block_dim(rest)
     for b in hermitian_basis(d_rest):
         amb = embed_operator(b, rest, c.dims)
         if np.abs(c.apply(amb) - amb).max() > tol:
@@ -120,34 +121,6 @@ def sorkin_violation(s: SorkinScenario) -> float:
     return float((with_prep - without).real)
 
 
-def gamma_functional(
-    psi: KrausChannel,
-    prep: KrausChannel,
-    observable,
-    rho,
-    partition: Bipartition,
-    tol: float = DEFAULT_TOL,
-) -> complex:
-    """Signalling functional of the intervention: linear in ``psi``.
-
-    Evaluates ``tr(rho (prep(psi(O)) - psi(O))))`` after validating that
-    ``prep`` is local to the sender block and ``O`` is supported on the
-    receiver block.  Vanishing for every admissible preparation, observable
-    and state certifies no signalling through ``psi``.
-    """
-    dims = partition.dims
-    rho = check_density(rho, tol)
-    if psi.dims != dims or prep.dims != dims:
-        raise ValueError("channel dims do not match the partition")
-    observable = np.asarray(observable, dtype=complex)
-    if not is_supported_on(observable, partition.right, dims, tol):
-        raise ValueError("observable is not supported on the receiver sites")
-    if not is_local_channel(prep, partition.left, tol):
-        raise ValueError("preparation is not local to the sender sites")
-    evolved = psi.apply(observable)
-    return complex(np.trace(rho @ (prep.apply(evolved) - evolved)))
-
-
 @dataclass
 class SignallingReport:
     """Strength and witness of signalling across one direction of a bipartition."""
@@ -161,9 +134,7 @@ class SignallingReport:
         return {
             "direction": [list(self.direction[0]), list(self.direction[1])],
             "strength": float(self.strength),
-            "witness": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.witness
-            ],
+            "witness": to_re_im(self.witness),
             "tol": float(self.tol),
         }
 
@@ -194,8 +165,8 @@ def semicausal_defect(
     p = part if sender == "left" else part.swapped()
     s_sites, r_sites = p.left, p.right
     dims = part.dims
-    d_s = int(np.prod([dims.dims[s] for s in s_sites]))
-    basis = hermitian_basis(int(np.prod([dims.dims[s] for s in r_sites])))
+    d_s = dims.block_dim(s_sites)
+    basis = hermitian_basis(dims.block_dim(r_sites))
     cols = []
     for b in basis:
         img = c.apply(embed_operator(b, r_sites, dims))

@@ -18,9 +18,11 @@ from .tensor import (
     DEFAULT_TOL,
     SystemDims,
     embed_operator,
+    from_re_im,
     is_hermitian,
     is_unitary,
     tensor_product,
+    to_re_im,
 )
 
 
@@ -64,22 +66,14 @@ class KrausChannel:
 
     def to_json(self) -> dict:
         """Wire format: dims plus each Kraus operator as rows of [re, im] pairs."""
-        return {
-            "dims": list(self.dims.dims),
-            "kraus": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in k]
-                for k in self.kraus
-            ],
-        }
+        return {"dims": list(self.dims.dims), "kraus": to_re_im(self.kraus)}
 
     @classmethod
     def from_json(cls, data: dict) -> "KrausChannel":
-        dims = SystemDims(tuple(data["dims"]))
-        kraus = [
-            np.array([[complex(re, im) for re, im in row] for row in k])
-            for k in data["kraus"]
-        ]
-        return cls(kraus, dims)
+        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``."""
+        if not isinstance(data, dict) or not {"dims", "kraus"} <= data.keys():
+            raise ValueError("a channel must be an object with 'dims' and 'kraus'")
+        return cls(from_re_im(data["kraus"]), SystemDims(data["dims"]))
 
 
 class ChoiMatrix:

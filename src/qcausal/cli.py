@@ -57,7 +57,13 @@ from .sampling import (
     measure_zero_experiment,
     random_sorkin_scenario,
 )
-from .tensor import Bipartition, SystemDims, all_bipartitions
+from .tensor import (
+    Bipartition,
+    SystemDims,
+    all_bipartitions,
+    from_re_im,
+    to_re_im,
+)
 
 SCHEMA_VERSION = 1
 
@@ -131,23 +137,10 @@ def _jsonify(obj):
     return obj
 
 
-def _parse_matrix(data) -> np.ndarray:
-    try:
-        return np.array(
-            [[complex(re, im) for re, im in row] for row in data], dtype=complex
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse matrix of [re, im] pairs: {exc}") from exc
-
-
-def _matrix_json(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
 def _dims_from(params) -> SystemDims:
     if "dims" not in params:
         raise ConfigError("config must set 'dims' (list of local dimensions)")
-    return SystemDims(tuple(int(d) for d in params["dims"]))
+    return SystemDims(params["dims"])
 
 
 def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
@@ -157,7 +150,7 @@ def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
             "config must set exactly one of 'unitary', 'channel' or 'zoo'"
         )
     if "unitary" in params:
-        return from_unitary(_parse_matrix(params["unitary"]), dims)
+        return from_unitary(from_re_im(params["unitary"]), dims)
     if "channel" in params:
         c = KrausChannel.from_json(params["channel"])
         if c.dims != dims:
@@ -354,8 +347,8 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
             "converged": res.converged,
         }
         if len(targets) == 1:
-            row["u1"] = _matrix_json(res.u1)
-            row["u2"] = _matrix_json(res.u2)
+            row["u1"] = to_re_im(res.u1)
+            row["u2"] = to_re_im(res.u2)
         rows.append(row)
         if verbose:
             print(

@@ -127,7 +127,7 @@ def random_sorkin_scenario(
         random_kraus_channel(sender_dims, nkraus_prep, rng), part.left, dims
     )
     rho = random_density(dims.total, rng)
-    d_r = int(np.prod([dims.dims[s] for s in part.right]))
+    d_r = dims.block_dim(part.right)
     obs = embed_operator(random_hermitian(d_r, rng), part.right, dims)
     return SorkinScenario(
         rho=rho,

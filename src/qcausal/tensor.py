@@ -41,7 +41,12 @@ class SystemDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(int(d) for d in self.dims)
+        except TypeError as exc:
+            raise ValueError(
+                f"dims must be a list of integers, got {self.dims!r}"
+            ) from exc
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise ValueError("need at least one site")
@@ -60,6 +65,10 @@ class SystemDims:
     @property
     def nsites(self) -> int:
         return len(self.dims)
+
+    def block_dim(self, sites) -> int:
+        """Dimension of the tensor factor on ``sites``; 1 for no sites."""
+        return int(np.prod([self.dims[s] for s in sites]))
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -104,11 +113,11 @@ class Bipartition:
 
     @property
     def left_dim(self) -> int:
-        return int(np.prod([self.dims.dims[s] for s in self.left]))
+        return self.dims.block_dim(self.left)
 
     @property
     def right_dim(self) -> int:
-        return int(np.prod([self.dims.dims[s] for s in self.right]))
+        return self.dims.block_dim(self.right)
 
     def swapped(self) -> "Bipartition":
         return Bipartition(self.dims, self.right, self.left)
@@ -163,14 +172,14 @@ def embed_operator(op, sites, dims: SystemDims) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     sites = _check_sites(sites, dims)
     d = dims.dims
-    d_sites = int(np.prod([d[s] for s in sites]))
+    d_sites = dims.block_dim(sites)
     if op.shape != (d_sites, d_sites):
         raise ValueError(
             f"operator shape {op.shape} does not match sites {sites} "
             f"with dims {tuple(d[s] for s in sites)}"
         )
     rest = tuple(s for s in range(dims.nsites) if s not in sites)
-    d_rest = int(np.prod([d[s] for s in rest])) if rest else 1
+    d_rest = dims.block_dim(rest)
     full = np.kron(op, np.eye(d_rest, dtype=complex))
     # `full` carries the factors in order sites + rest; permute to site order.
     order = sites + rest
@@ -192,7 +201,7 @@ def partial_trace(op, dims: SystemDims, sites) -> np.ndarray:
     subs = list(range(n)) + [i if i in sites else n + i for i in range(n)]
     keep = [i for i in range(n) if i not in sites]
     out = np.einsum(shaped, subs, keep + [n + i for i in keep])
-    d_keep = int(np.prod([dims.dims[s] for s in keep])) if keep else 1
+    d_keep = dims.block_dim(keep)
     return out.reshape(d_keep, d_keep)
 
 
@@ -310,3 +319,29 @@ def check_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     if evals.min() < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3g}")
     return rho
+
+
+def to_re_im(m) -> list:
+    """Wire format of a complex array: nested lists ending in [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def from_re_im(data) -> np.ndarray:
+    """Inverse of :func:`to_re_im`, bit-exact (signed zeros included).
+
+    Raises ``ValueError`` unless ``data`` is a regular nest of lists whose
+    innermost entries are numeric ``[re, im]`` pairs.
+    """
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"cannot parse [re, im] pairs: {exc}") from exc
+    if arr.ndim < 2 or arr.shape[-1] != 2 or arr.dtype.kind not in "iuf":
+        raise ValueError(
+            "expected nested lists of numeric [re, im] pairs, got an array of "
+            f"shape {arr.shape} and dtype {arr.dtype}"
+        )
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from qcausal.causality import (
     PerturbationRow,
     ProductApproximation,
     SorkinScenario,
-    gamma_functional,
     is_causal_unitary,
     is_local_channel,
     is_supported_on,
@@ -151,6 +152,18 @@ class TestSorkinViolation:
             s = random_sorkin_scenario(part, from_unitary(u, dims), g)
             assert abs(sorkin_violation(s)) < 1e-10
 
+    def test_linear_in_the_intervention(self):
+        g = RngStream(26).generator()
+        part = QUBIT_PAIR
+        a = random_kraus_channel(part.dims, 2, g)
+        b = random_kraus_channel(part.dims, 3, g)
+        s = random_sorkin_scenario(part, a, g)
+        w = 0.4
+        va = sorkin_violation(s)
+        vb = sorkin_violation(replace(s, intervention=b))
+        vm = sorkin_violation(replace(s, intervention=mix(a, b, w)))
+        np.testing.assert_allclose(vm, w * va + (1 - w) * vb, atol=1e-12)
+
     def test_swap_signals_both_ways(self):
         part = QUBIT_PAIR
         g = RngStream(23).generator()
@@ -160,42 +173,6 @@ class TestSorkinViolation:
             if abs(sorkin_violation(s)) > 1e-3:
                 hits += 1
         assert hits > 0
-
-
-class TestGammaFunctional:
-    def test_zero_for_identity_intervention(self):
-        g = RngStream(24).generator()
-        part = QUBIT_PAIR
-        s = random_sorkin_scenario(part, identity_channel(part.dims), g)
-        val = gamma_functional(s.intervention, s.prep, s.observable, s.rho, part)
-        assert abs(val) < 1e-12
-
-    def test_matches_sorkin_violation(self):
-        g = RngStream(25).generator()
-        part = QUBIT_PAIR
-        s = random_sorkin_scenario(part, cnot_channel(), g)
-        val = gamma_functional(s.intervention, s.prep, s.observable, s.rho, part)
-        np.testing.assert_allclose(val.real, sorkin_violation(s), atol=1e-12)
-        assert abs(val.imag) < 1e-12
-
-    def test_linear_in_the_intervention(self):
-        g = RngStream(26).generator()
-        part = QUBIT_PAIR
-        a = random_kraus_channel(part.dims, 2, g)
-        b = random_kraus_channel(part.dims, 3, g)
-        s = random_sorkin_scenario(part, a, g)
-        w = 0.4
-        ga = gamma_functional(a, s.prep, s.observable, s.rho, part)
-        gb = gamma_functional(b, s.prep, s.observable, s.rho, part)
-        gm = gamma_functional(mix(a, b, w), s.prep, s.observable, s.rho, part)
-        np.testing.assert_allclose(gm, w * ga + (1 - w) * gb, atol=1e-12)
-
-    def test_validates_prep_locality(self):
-        g = RngStream(27).generator()
-        part = QUBIT_PAIR
-        s = random_sorkin_scenario(part, cnot_channel(), g)
-        with pytest.raises(ValueError, match="local"):
-            gamma_functional(s.intervention, cnot_channel(), s.observable, s.rho, part)
 
 
 def _one_way_defect_oracle():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,17 @@ from qcausal.channels import (
     swap_channel,
     zoo,
 )
+from qcausal.causality import nearest_product_unitary, semicausal_defect
+from qcausal.cli import ExperimentConfig, run
 from qcausal.sampling import RngStream, haar_unitary, random_kraus_channel
-from qcausal.tensor import SystemDims, embed_operator, tensor_product
+from qcausal.tensor import (
+    Bipartition,
+    SystemDims,
+    embed_operator,
+    from_re_im,
+    tensor_product,
+    to_re_im,
+)
 
 from conftest import I2, X, Z
 
@@ -213,6 +224,26 @@ class TestZoo:
             zoo("teleport", d)
 
 
+def _old_encode(m):
+    """Frozen copy of the list-comprehension encoder the shared codec replaced."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def _old_decode(rows):
+    """Frozen copy of the complex(re, im) decoder the shared codec replaced."""
+    return np.array(
+        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+    )
+
+
+def _signed_zero_op(rng, d):
+    m = _rand_op(rng, d)
+    m[0, 0] = complex(-0.0, 0.5)
+    m[1, 0] = complex(0.25, -0.0)
+    m[-1, -1] = complex(-0.0, -0.0)
+    return m
+
+
 class TestWireFormat:
     def test_roundtrip_bit_exact(self):
         c = random_kraus_channel(SystemDims((2, 3)), 3, RngStream(15))
@@ -221,11 +252,48 @@ class TestWireFormat:
         assert np.array_equal(back.kraus, c.kraus)
 
     def test_json_is_plain_data(self):
-        import json
-
         data = cnot_channel().to_json()
         parsed = json.loads(json.dumps(data))
         assert parsed["dims"] == [2, 2]
         assert np.array_equal(
             KrausChannel.from_json(parsed).kraus[0], cnot_channel().kraus[0]
         )
+
+    def test_codec_matches_old_codec(self, rng):
+        ints = rng.integers(-3, 4, (5, 5)) + 1j * rng.integers(-3, 4, (5, 5))
+        for m in (_rand_op(rng, 4), _signed_zero_op(rng, 6), ints, np.eye(3)):
+            text = json.dumps(to_re_im(m))
+            assert text == json.dumps(_old_encode(m))
+            new, old = from_re_im(json.loads(text)), _old_decode(json.loads(text))
+            assert new.tobytes() == old.tobytes()
+        int_pairs = rng.integers(-3, 4, (3, 3, 2)).tolist()
+        assert from_re_im(int_pairs).tobytes() == _old_decode(int_pairs).tobytes()
+
+    def test_kraus_family_matches_old_codec(self, rng):
+        # signed zeros in a non-unital family: the codec alone
+        family = np.array([_signed_zero_op(rng, 6) for _ in range(2)])
+        text = json.dumps(to_re_im(family))
+        assert text == json.dumps([_old_encode(k) for k in family])
+        old = np.array([_old_decode(k) for k in json.loads(text)])
+        assert from_re_im(json.loads(text)).tobytes() == old.tobytes()
+        # a unital family on (2, 3) through to_json / from_json
+        c = random_kraus_channel(SystemDims((2, 3)), 3, RngStream(16))
+        text = json.dumps(c.to_json())
+        assert text == json.dumps(
+            {"dims": [2, 3], "kraus": [_old_encode(k) for k in c.kraus]}
+        )
+        back = KrausChannel.from_json(json.loads(text))
+        old = np.array([_old_decode(k) for k in json.loads(text)["kraus"]])
+        assert back.kraus.tobytes() == old.tobytes()
+
+    def test_reports_match_old_codec(self, tmp_path):
+        part = Bipartition.split(SystemDims((2, 2)), (0,))
+        rep = semicausal_defect(classical_one_way_channel(), part)
+        assert rep.to_json()["witness"] == _old_encode(rep.witness)
+        target = to_re_im(haar_unitary(4, RngStream(17).generator()))
+        cfg = {"experiment": "nearest-product", "seed": 1, "dims": [2, 2]}
+        report, _ = run(ExperimentConfig.from_dict(dict(cfg, unitary=target)), tmp_path)
+        row = report["results"]["rows"][0]
+        res = nearest_product_unitary(from_re_im(target), part)
+        assert json.dumps(row["u1"]) == json.dumps(_old_encode(res.u1))
+        assert json.dumps(row["u2"]) == json.dumps(_old_encode(res.u2))

@@ -29,6 +29,10 @@ def _haar_cfg(n_samples=10, **extra):
     return cfg
 
 
+# rows 1..3 of the 4x4 identity as [re, im] pairs
+_EYE3_ROWS = [[[float(i == j), 0.0] for j in range(4)] for i in range(1, 4)]
+
+
 class TestExperimentConfig:
     def test_valid_split(self):
         cfg = ExperimentConfig.from_dict(_haar_cfg())
@@ -94,6 +98,32 @@ class TestExitCodes:
         code = main(["check-causal", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == 1
         assert "dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {"kraus": []},
+            {"dims": [2, 2], "kraus": [[[1, 0]]]},
+            [1, 2],
+            {"dims": 4, "kraus": [[[[1, 0]]]]},
+            {"dims": [2, 2], "kraus": [[[["1", 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
+        ],
+        ids=["no-dims", "flat-kraus", "not-an-object", "scalar-dims", "string-entry"],
+    )
+    def test_malformed_channel_is_one(self, tmp_path, capsys, channel):
+        cfg = _write(
+            tmp_path,
+            "c.json",
+            {
+                "experiment": "check-causal",
+                "seed": 3,
+                "dims": [2, 2],
+                "channel": channel,
+            },
+        )
+        code = main(["check-causal", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_failed_expectation_is_two(self, tmp_path, capsys):
         # a global Haar draw essentially never lands on a product unitary

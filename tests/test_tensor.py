@@ -41,6 +41,11 @@ class TestSystemDims:
         with pytest.raises(ValueError):
             SystemDims(())
 
+    def test_rejects_non_integer_dims(self):
+        for bad in (5, [None], [[2], 2]):
+            with pytest.raises(ValueError, match="list of integers"):
+                SystemDims(bad)
+
 
 class TestBipartition:
     def test_split_and_swap(self):
