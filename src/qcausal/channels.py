@@ -47,7 +47,7 @@ class KrausChannel:
         self.kraus = ks
         unit = np.einsum("kij,kil->jl", ks.conj(), ks)
         err = np.abs(unit - np.eye(d)).max()
-        if err > tol:
+        if not err <= tol:  # also catches NaN entries
             raise ValueError(f"Kraus family is not unital: deviation {err:.3g}")
 
     @property

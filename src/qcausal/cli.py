@@ -67,14 +67,6 @@ from .tensor import (
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "check-causal",
-    "sample-haar",
-    "nearest-product",
-    "perturb-ball",
-    "lattice-sorkin",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -82,7 +74,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment request: name, seed, free-form params, output names."""
+    """Validated experiment request: name, seed, params, output names.
+
+    ``params`` holds every field of the experiment's table entry that the
+    config sets or that has a default; ``raw`` is the config as given.
+    """
 
     experiment: str
     seed: int
@@ -95,24 +91,133 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         name = data.get("experiment")
-        if name not in EXPERIMENTS:
+        if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}"
             )
-        if "seed" not in data:
-            raise ConfigError("config must set an integer 'seed'")
-        seed = data["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        output = data.get("output", {})
-        if not isinstance(output, dict):
-            raise ConfigError("'output' must be an object of file names")
-        params = {
-            k: v
-            for k, v in data.items()
-            if k not in ("experiment", "seed", "output")
-        }
-        return cls(experiment=name, seed=seed, params=params, output=output, raw=data)
+        _, one_of, fields = EXPERIMENTS[name]
+        p = _validate({**_COMMON, **fields}, data)
+        if one_of and sum(k in p for k in one_of) != 1:
+            raise ConfigError(
+                f"config must set exactly one of {', '.join(map(repr, one_of))}"
+            )
+        del p["experiment"]
+        seed, output = p.pop("seed"), p.pop("output")
+        return cls(experiment=name, seed=seed, params=p, output=output, raw=data)
+
+
+# ---------------------------------------------------------------------------
+# field checks: each takes (field name, JSON value), raises ConfigError or
+# returns the value to store (numbers that are read as reals become floats)
+# ---------------------------------------------------------------------------
+
+#: Default of a field the config must set.  A default of ``None`` marks an
+#: optional field without one: it is left out of ``params`` when not given.
+REQUIRED = object()
+
+
+def _validate(fields: dict, data: dict, prefix: str = "") -> dict:
+    """Check ``data`` against ``{name: (default, check)}``; fill in defaults."""
+
+    def fail(what, names):
+        listed = ", ".join(repr(prefix + k) for k in names)
+        raise ConfigError(f"{what} field{'s' if len(names) > 1 else ''} {listed}")
+
+    unknown = [k for k in data if k not in fields]
+    if unknown:
+        fail("unknown", unknown)
+    out, missing = {}, []
+    for k, (default, check) in fields.items():
+        if k in data:
+            out[k] = check(prefix + k, data[k])
+        elif default is REQUIRED:
+            missing.append(k)
+        elif default is not None:
+            out[k] = default
+    if missing:
+        fail("missing required", missing)
+    return out
+
+
+def _rule(want: str, ok, convert=None):
+    def check(name, value):
+        if not ok(value):
+            raise ConfigError(f"{name!r} must be {want}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+def _object(**fields):
+    """A nested object, checked field by field like the config itself."""
+
+    def check(name, value):
+        return _validate(fields, _OBJECT(name, value), name + ".")
+
+    return check
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # not bool, although bool subclasses int
+
+
+def _is_real(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max  # not NaN/inf
+
+
+def _is_ints(v) -> bool:
+    return type(v) is list and all(map(_is_int, v))
+
+
+def _is_reals(v) -> bool:
+    return type(v) is list and all(map(_is_real, v))
+
+
+def _floats(v) -> list:
+    return [float(x) for x in v]
+
+
+_INT = _rule("an integer", _is_int)
+_NATURAL = _rule("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_COUNT = _rule("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_REAL = _rule("a finite number", _is_real, float)
+_TOL = _rule("a finite number >= 0", lambda v: _is_real(v) and v >= 0, float)
+_REALS = _rule("a list of finite numbers", _is_reals, _floats)
+_EPSILONS = _rule(
+    "a list of finite numbers, one > 0",
+    lambda v: _is_reals(v) and max(v, default=0) > 0,
+    _floats,
+)
+_FLAG = _rule("true or false", lambda v: type(v) is bool)
+_TEXT = _rule("a string", lambda v: type(v) is str)
+_FILE = _rule("a file name", lambda v: type(v) is str and v != "" and "/" not in v)
+_LIST = _rule("a list", lambda v: type(v) is list)
+_OBJECT = _rule("an object", lambda v: type(v) is dict)
+_SITES = _rule("a list of integers", _is_ints)
+# one site has no bipartition to test
+_DIMS = _rule("a list of at least 2 integers", lambda v: _is_ints(v) and len(v) >= 2)
+_REGION = _rule(
+    "a list of [t, x] integer pairs",
+    lambda v: type(v) is list and all(_is_ints(p) and len(p) == 2 for p in v),
+)
+
+
+def _choice(*options):
+    return _rule(" or ".join(map(repr, options)), lambda v: v in options)
+
+
+# Fields every experiment takes ("experiment" is checked before the table).
+_COMMON = {
+    "experiment": (REQUIRED, _TEXT),
+    "seed": (REQUIRED, _NATURAL),
+    "output": ({}, _object(report=(None, _FILE), csv=(None, _FILE))),
+}
+# The channel inputs; the payloads are decoded (and checked) by the runner.
+_CHANNEL = {
+    "unitary": (None, _LIST),
+    "channel": (None, _OBJECT),
+    "zoo": (None, _OBJECT),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +242,7 @@ def _jsonify(obj):
     return obj
 
 
-def _dims_from(params) -> SystemDims:
-    if "dims" not in params:
-        raise ConfigError("config must set 'dims' (list of local dimensions)")
-    return SystemDims(params["dims"])
-
-
 def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
-    given = [k for k in ("unitary", "channel", "zoo") if k in params]
-    if len(given) != 1:
-        raise ConfigError(
-            "config must set exactly one of 'unitary', 'channel' or 'zoo'"
-        )
     if "unitary" in params:
         return from_unitary(from_re_im(params["unitary"]), dims)
     if "channel" in params:
@@ -157,12 +251,12 @@ def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
             raise ConfigError("channel dims do not match config dims")
         return c
     spec = params["zoo"]
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("'zoo' must be an object with a 'name'")
-    zoo_params = dict(spec.get("params", {}))
-    if spec["name"] == "local-random":
-        zoo_params["rng"] = rng
+    if "name" not in spec:
+        raise ConfigError("a zoo channel must be an object with a 'name'")
     try:
+        zoo_params = dict(spec.get("params", {}))
+        if spec["name"] == "local-random":
+            zoo_params["rng"] = rng
         c = zoo(spec["name"], dims, **zoo_params)
     except (KeyError, TypeError) as exc:
         raise ConfigError(
@@ -211,9 +305,8 @@ def emit_csv(records, path: Path, columns=None):
 
 def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     p = cfg.params
-    dims = _dims_from(p)
-    tol = float(p.get("tol", 1e-8))
-    n_scenarios = int(p.get("n_scenarios", 20))
+    dims = SystemDims(p["dims"])
+    tol, n_scenarios = p["tol"], p["n_scenarios"]
     rng = RngStream(cfg.seed).generator()
     channel = _channel_from(p, dims, rng)
 
@@ -276,14 +369,11 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
 
 def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     p = cfg.params
-    dims = _dims_from(p)
-    n_samples = int(p.get("n_samples", 1000))
-    tol = float(p.get("tol", 1e-6))
-    sampler = p.get("sampler", "global")
-    offset = int(p.get("stream_offset", 0))
-    expect = p.get("expect", "no-hits" if sampler == "global" else "all-hits")
-    if expect not in ("no-hits", "all-hits", "none"):
-        raise ConfigError("expect must be 'no-hits', 'all-hits' or 'none'")
+    dims = SystemDims(p["dims"])
+    n_samples, tol, sampler = p["n_samples"], p["tol"], p["sampler"]
+    offset = p["stream_offset"]
+    auto_expect = "no-hits" if sampler == "global" else "all-hits"
+    expect = p["expect"] if "expect" in p else auto_expect
     stats = measure_zero_experiment(
         dims, n_samples, tol, RngStream(cfg.seed, offset), sampler=sampler
     )
@@ -322,14 +412,12 @@ def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
 
 def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     p = cfg.params
-    dims = _dims_from(p)
-    part = Bipartition.split(dims, tuple(p.get("left_sites", (0,))))
-    tol = float(p.get("tol", 1e-12))
-    max_iter = int(p.get("max_iter", 500))
+    dims = SystemDims(p["dims"])
+    part = Bipartition.split(dims, p["left_sites"])
     rng = RngStream(cfg.seed).generator()
     targets = []
     if "n_samples" in p:
-        for i in range(int(p["n_samples"])):
+        for i in range(p["n_samples"]):
             targets.append((f"haar-{i}", haar_unitary(dims.total, rng)))
     else:
         channel = _channel_from(p, dims, rng)
@@ -338,7 +426,7 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
         targets.append(("input", channel.kraus[0]))
     rows = []
     for label, u in targets:
-        res = nearest_product_unitary(u, part, tol=tol, max_iter=max_iter)
+        res = nearest_product_unitary(u, part, tol=p["tol"], max_iter=p["max_iter"])
         row = {
             "label": label,
             "overlap": res.overlap,
@@ -365,21 +453,15 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
 
 
 def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
-    p = dict(cfg.params)
-    p.setdefault("dims", [2, 2])
-    dims = _dims_from(p)
-    part = Bipartition.split(dims, tuple(p.get("left_sites", (0,))))
-    sender = p.get("sender", "left")
-    epsilons = [float(e) for e in p.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4])]
-    rtol = float(p.get("linearity_rtol", 1e-9))
-    tol = float(p.get("tol", 1e-10))
+    p = cfg.params
+    dims = SystemDims(p["dims"])
+    part = Bipartition.split(dims, p["left_sites"])
+    sender, rtol = p["sender"], p["linearity_rtol"]
     rng = RngStream(cfg.seed).generator()
-    causal = _channel_from({"zoo": p.get("causal", {"name": "identity"})}, dims, rng)
-    acausal = _channel_from(
-        {"zoo": p.get("acausal", {"name": "classical-one-way"})}, dims, rng
-    )
+    causal = _channel_from({"zoo": p["causal"]}, dims, rng)
+    acausal = _channel_from({"zoo": p["acausal"]}, dims, rng)
     rows = perturbation_probe(
-        causal, acausal, epsilons, part, sender=sender, tol=tol
+        causal, acausal, p["epsilons"], part, sender=sender, tol=p["tol"]
     )
     table = []
     for r in rows:
@@ -422,26 +504,11 @@ def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
 
 def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     p = cfg.params
-    if "lattice" not in p or "k_region" not in p:
-        raise ConfigError("config must set 'lattice' and 'k_region'")
-    lat_cfg = p["lattice"]
-    lattice = LatticeSpec(
-        n_sites=int(lat_cfg["n_sites"]),
-        n_steps=int(lat_cfg["n_steps"]),
-        mass=float(lat_cfg.get("mass", 1.0)),
-    )
-    k = Region([(int(t), int(x)) for t, x in p["k_region"]])
-    opts_cfg = p.get("build_opts", {})
-    opts = BuildOptions(
-        time_gap=int(opts_cfg.get("time_gap", 2)),
-        bump_half_t=int(opts_cfg.get("bump_half_t", 1)),
-        bump_half_x=int(opts_cfg.get("bump_half_x", 1)),
-    )
-    lambdas = [float(v) for v in p.get("lambdas", [0.0, 0.5, 1.0])]
-    atol = float(p.get("identity_atol", 1e-12))
-    require_nonzero = bool(p.get("require_nonzero", False))
+    lattice = LatticeSpec(**p["lattice"])
+    opts = BuildOptions(**p["build_opts"])
+    atol = p["identity_atol"]
 
-    f, g, h = build_scenario(lattice, k, opts)
+    f, g, h = build_scenario(lattice, Region(p["k_region"]), opts)
     dfg = pauli_jordan(lattice, f, g)
     dfh = pauli_jordan(lattice, f, h)
     dhg = pauli_jordan(lattice, h, g)
@@ -449,7 +516,7 @@ def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
 
     rows = []
     ok = dhg == 0.0
-    for lam in lambdas:
+    for lam in p["lambdas"]:
         chain = sorkin_chain(lattice, f, g, h, lam)
         expected_scalar = -2.0 * lam * dfg * dfh
         row = {
@@ -468,7 +535,7 @@ def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
         )
         rows.append(row)
     ok = ok and abs(deriv - (-2.0 * dfg * dfh)) <= atol
-    if require_nonzero:
+    if p["require_nonzero"]:
         ok = ok and deriv != 0.0
 
     def support_json(tf):
@@ -501,19 +568,66 @@ def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     return results, ok
 
 
-RUNNERS = {
-    "check-causal": _run_check_causal,
-    "sample-haar": _run_sample_haar,
-    "nearest-product": _run_nearest_product,
-    "perturb-ball": _run_perturb_ball,
-    "lattice-sorkin": _run_lattice_sorkin,
+# ---------------------------------------------------------------------------
+# the experiments: name -> (runner, fields of which a config must set exactly
+# one, {field: (default, check)})
+# ---------------------------------------------------------------------------
+
+EXPERIMENTS = {
+    "check-causal": (_run_check_causal, tuple(_CHANNEL), {
+        "dims": (REQUIRED, _DIMS),
+        "tol": (1e-8, _TOL),
+        "n_scenarios": (20, _COUNT),
+        **_CHANNEL,
+    }),
+    "sample-haar": (_run_sample_haar, (), {
+        "dims": (REQUIRED, _DIMS),
+        "n_samples": (1000, _COUNT),
+        "tol": (1e-6, _TOL),
+        "sampler": ("global", _choice("global", "local")),
+        "stream_offset": (0, _NATURAL),
+        # no default here: it follows the sampler
+        "expect": (None, _choice("no-hits", "all-hits", "none")),
+    }),
+    "nearest-product": (_run_nearest_product, ("n_samples", *_CHANNEL), {
+        "dims": (REQUIRED, _DIMS),
+        "left_sites": ([0], _SITES),
+        "tol": (1e-12, _TOL),
+        "max_iter": (500, _COUNT),
+        "n_samples": (None, _COUNT),
+        **_CHANNEL,
+    }),
+    "perturb-ball": (_run_perturb_ball, (), {
+        "dims": ([2, 2], _DIMS),
+        "left_sites": ([0], _SITES),
+        "sender": ("left", _TEXT),
+        "epsilons": ([1e-1, 1e-2, 1e-3, 1e-4], _EPSILONS),
+        "linearity_rtol": (1e-9, _TOL),
+        "tol": (1e-10, _TOL),
+        "causal": ({"name": "identity"}, _OBJECT),
+        "acausal": ({"name": "classical-one-way"}, _OBJECT),
+    }),
+    "lattice-sorkin": (_run_lattice_sorkin, (), {
+        # unset nested fields take the LatticeSpec and BuildOptions defaults
+        "lattice": (REQUIRED, _object(
+            n_sites=(REQUIRED, _INT), n_steps=(REQUIRED, _INT), mass=(None, _REAL)
+        )),
+        "k_region": (REQUIRED, _REGION),
+        "build_opts": ({}, _object(
+            time_gap=(None, _INT), bump_half_t=(None, _INT), bump_half_x=(None, _INT)
+        )),
+        "lambdas": ([0.0, 0.5, 1.0], _REALS),
+        "identity_atol": (1e-12, _TOL),
+        "require_nonzero": (False, _FLAG),
+    }),
 }
 
 
 def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False):
     """Execute one experiment; returns (report dict, exit code)."""
     start = time.perf_counter()
-    results, passed = RUNNERS[cfg.experiment](cfg, out_dir, verbose)
+    runner = EXPERIMENTS[cfg.experiment][0]
+    results, passed = runner(cfg, out_dir, verbose)
     report = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,

@@ -178,6 +178,8 @@ def measure_zero_experiment(
         raise ValueError("sampler must be 'global' or 'local'")
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if dims.nsites < 2:
+        raise ValueError("the product test needs at least two sites")
     parts = all_bipartitions(dims)
     count = 0
     seconds = np.empty(n_samples)

@@ -42,6 +42,11 @@ class TestKrausChannel:
     def test_rejects_non_unital(self):
         with pytest.raises(ValueError, match="unital"):
             KrausChannel([0.5 * np.eye(2)], SystemDims((2,)))
+        for bad in (np.nan, np.inf):
+            k = np.eye(2, dtype=complex)
+            k[0, 1] = bad
+            with pytest.raises(ValueError, match="unital"):
+                KrausChannel([k], SystemDims((2,)))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,12 +1,20 @@
 import csv
 import json
+import re
 import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcausal.cli import ConfigError, ExperimentConfig, emit_csv, main
+from qcausal.cli import (
+    EXPERIMENTS,
+    REQUIRED,
+    ConfigError,
+    ExperimentConfig,
+    emit_csv,
+    main,
+)
 from qcausal.sampling import RngStream, measure_zero_experiment
 from qcausal.tensor import SystemDims
 
@@ -31,6 +39,38 @@ def _haar_cfg(n_samples=10, **extra):
 
 # rows 1..3 of the 4x4 identity as [re, im] pairs
 _EYE3_ROWS = [[[float(i == j), 0.0] for j in range(4)] for i in range(1, 4)]
+
+_CNOT = [
+    [[1, 0], [0, 0], [0, 0], [0, 0]],
+    [[0, 0], [1, 0], [0, 0], [0, 0]],
+    [[0, 0], [0, 0], [0, 0], [1, 0]],
+    [[0, 0], [0, 0], [1, 0], [0, 0]],
+]
+
+# A small valid config per experiment.
+_TINY_BASE = {
+    "check-causal": {
+        "experiment": "check-causal",
+        "seed": 3,
+        "dims": [2, 2],
+        "n_scenarios": 2,
+        "zoo": {"name": "cnot"},
+    },
+    "sample-haar": _haar_cfg(n_samples=3),
+    "nearest-product": {
+        "experiment": "nearest-product",
+        "seed": 9,
+        "dims": [2, 2],
+        "n_samples": 2,
+    },
+    "perturb-ball": {"experiment": "perturb-ball", "seed": 4},
+    "lattice-sorkin": {
+        "experiment": "lattice-sorkin",
+        "seed": 0,
+        "lattice": {"n_sites": 64, "n_steps": 16, "mass": 1.0},
+        "k_region": [[6, 20], [6, 21]],
+    },
+}
 
 
 class TestExperimentConfig:
@@ -107,8 +147,11 @@ class TestExitCodes:
             [1, 2],
             {"dims": 4, "kraus": [[[[1, 0]]]]},
             {"dims": [2, 2], "kraus": [[[["1", 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
+            {"dims": [2, 2], "kraus": [[[[float("nan"), 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
         ],
-        ids=["no-dims", "flat-kraus", "not-an-object", "scalar-dims", "string-entry"],
+        ids=[
+            "no-dims", "flat-kraus", "not-an-object", "scalar-dims", "string-entry", "nan-entry",
+        ],
     )
     def test_malformed_channel_is_one(self, tmp_path, capsys, channel):
         cfg = _write(
@@ -124,6 +167,58 @@ class TestExitCodes:
         code = main(["check-causal", "--config", cfg, "--out-dir", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "experiment, change, field",
+        [
+            # each of these ended in a traceback
+            ("sample-haar", {"dims": [4]}, "dims"),
+            ("lattice-sorkin", {"lattice": {"n_steps": 16}}, "lattice.n_sites"),
+            ("lattice-sorkin", {"k_region": [5, 10]}, "k_region"),
+            ("perturb-ball", {"epsilons": [0.0]}, "epsilons"),
+            ("check-causal", {"output": {"report": 5}}, "output.report"),
+            # each of these ran to a vacuous or silent PASS
+            ("sample-haar", {"tol": "nan"}, "tol"),
+            ("check-causal", {"tol": float("inf")}, "tol"),
+            ("check-causal", {"dims": [4], "zoo": {"name": "identity"}}, "dims"),
+            ("nearest-product", {"n_samples": 0}, "n_samples"),
+            ("check-causal", {"n_scenario": 0}, "n_scenario"),
+            ("check-causal", {"n_scenarios": 2.7}, "n_scenarios"),
+            ("check-causal", {"tol": -1}, "tol"),
+            ("lattice-sorkin", {"lattice": {"n_sites": 64.5, "n_steps": 16}}, "lattice.n_sites"),
+            ("sample-haar", {"n_samples": True}, "n_samples"),
+            ("nearest-product", {"unitary": _CNOT}, "n_samples"),
+            # each of these exited 2
+            ("check-causal", {"n_scenarios": -3}, "n_scenarios"),
+            ("nearest-product", {"max_iter": 0}, "max_iter"),
+        ],
+        ids=[
+            "haar-one-site",
+            "lattice-no-n-sites",
+            "flat-k-region",
+            "zero-epsilons",
+            "report-not-a-name",
+            "nan-string-tol",
+            "infinite-tol",
+            "causal-one-site",
+            "zero-samples",
+            "misspelled-field",
+            "fractional-count",
+            "negative-tol",
+            "fractional-sites",
+            "bool-count",
+            "samples-and-unitary",
+            "negative-count",
+            "zero-max-iter",
+        ],
+    )
+    def test_bad_config_is_one(self, tmp_path, capsys, experiment, change, field):
+        cfg = _write(tmp_path, "c.json", dict(_TINY_BASE[experiment], **change))
+        code = main([experiment, "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(field) in err
 
     def test_failed_expectation_is_two(self, tmp_path, capsys):
         # a global Haar draw essentially never lands on a product unitary
@@ -269,16 +364,10 @@ class TestOtherRunners:
         assert all("u1" not in r for r in res["rows"])
 
     def test_nearest_product_explicit_unitary(self, tmp_path):
-        cnot = [
-            [[1, 0], [0, 0], [0, 0], [0, 0]],
-            [[0, 0], [1, 0], [0, 0], [0, 0]],
-            [[0, 0], [0, 0], [0, 0], [1, 0]],
-            [[0, 0], [0, 0], [1, 0], [0, 0]],
-        ]
         cfg = _write(
             tmp_path,
             "c.json",
-            {"experiment": "nearest-product", "seed": 9, "dims": [2, 2], "unitary": cnot},
+            {"experiment": "nearest-product", "seed": 9, "dims": [2, 2], "unitary": _CNOT},
         )
         assert main(["nearest-product", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         row = json.loads((tmp_path / "nearest-product-report.json").read_text())[
@@ -348,3 +437,30 @@ def test_console_script_entry_point(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "sample-haar: PASS"
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_readme_examples_are_valid(self):
+        blocks = re.findall(r"```json\n(.*?)```", _README.read_text(), re.S)
+        assert len(blocks) == len(EXPERIMENTS)
+        for block in blocks:
+            ExperimentConfig.from_dict(json.loads(block))
+
+    def test_readme_lists_every_field_and_default(self):
+        text = _README.read_text()
+        for name, (_, _, fields) in EXPERIMENTS.items():
+            table = text.split(f"#### `{name}`\n", 1)[1].strip().split("\n\n")[0]
+            rows = [line.split("|")[1:4] for line in table.splitlines()[2:]]
+            listed = {f.strip(" `"): d.strip() for f, _, d in rows}
+            assert listed.keys() == fields.keys(), name
+            for field, cell in listed.items():
+                default = fields[field][0]
+                if default is REQUIRED:
+                    assert cell == "required", field
+                elif default is None:
+                    assert cell == "—", field
+                else:
+                    assert json.loads(cell.strip("`")) == default, field

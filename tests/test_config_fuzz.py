@@ -1,0 +1,134 @@
+"""Fuzz test over the config table: configs drawn from ``EXPERIMENTS``,
+well-formed or broken, must run to PASS/FAIL or exit 1 with an ``error:``
+line; no exception may escape ``main``."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from qcausal.cli import EXPERIMENTS, REQUIRED, ExperimentConfig, main
+
+_CNOT = [
+    [[1, 0], [0, 0], [0, 0], [0, 0]],
+    [[0, 0], [1, 0], [0, 0], [0, 0]],
+    [[0, 0], [0, 0], [0, 0], [1, 0]],
+    [[0, 0], [0, 0], [1, 0], [0, 0]],
+]
+_WIRE_CNOT = {"dims": [2, 2], "kraus": [_CNOT]}
+
+# Small valid values for every field of every experiment in the config table;
+# any combination of them (with exactly one channel input where the table
+# asks for one) is a config the table accepts and that runs in milliseconds.
+_TINY = {
+    "check-causal": {
+        "seed": [3, 0],
+        "output": [{}, {"report": "r.json"}],
+        "dims": [[2, 2]],
+        "tol": [1e-8, 1e-3, 0],
+        "n_scenarios": [1, 2],
+        "unitary": [_CNOT],
+        "channel": [_WIRE_CNOT],
+        "zoo": [{"name": n} for n in ("cnot", "local-random", "classical-one-way")],
+    },
+    "sample-haar": {
+        "seed": [77, 0],
+        "output": [{}, {"report": "r.json", "csv": "s.csv"}],
+        "dims": [[2, 2], [2, 3]],
+        "n_samples": [1, 3],
+        "tol": [1e-6, 0.5],
+        "sampler": ["global", "local"],
+        "stream_offset": [0, 4],
+        "expect": ["no-hits", "all-hits", "none"],
+    },
+    "nearest-product": {
+        "seed": [9, 0],
+        "output": [{}],
+        "dims": [[2, 2]],
+        "left_sites": [[0], [1]],
+        "tol": [1e-12, 1e-6],
+        "max_iter": [1, 50],
+        "n_samples": [1, 2],
+        "unitary": [_CNOT],
+        "channel": [_WIRE_CNOT],
+        "zoo": [{"name": "cnot"}, {"name": "swap"}],
+    },
+    "perturb-ball": {
+        "seed": [4, 0],
+        "output": [{}],
+        "dims": [[2, 2]],
+        "left_sites": [[0], [1]],
+        "sender": ["left", "right"],
+        "epsilons": [[0.1, 0.01], [1e-3]],
+        "linearity_rtol": [1e-9, 0.5],
+        "tol": [1e-10, 1e-6],
+        "causal": [{"name": "identity"}, {"name": "local-random"}],
+        "acausal": [{"name": "cnot"}, {"name": "swap"}],
+    },
+    "lattice-sorkin": {
+        "seed": [0, 5],
+        "output": [{}],
+        "lattice": [{"n_sites": 64, "n_steps": 16}, {"n_sites": 64, "n_steps": 16, "mass": 0.5}],
+        "k_region": [[[6, 20], [6, 21]], [[t, x] for t in (6, 7) for x in range(20, 41)]],
+        "build_opts": [{}, {"time_gap": 2, "bump_half_x": 1}],
+        "lambdas": [[0.0, 1.0], []],
+        "identity_atol": [1e-12, 1e-9],
+        "require_nonzero": [False, True],
+    },
+}
+_BAD_VALUES = [None, True, -1, 0, 2.5, "1", float("nan"), float("inf"), [], {}]
+# Optional fields set in every drawn config: the default of 1000 draws is slow.
+_ALWAYS_SET = {"sample-haar": {"n_samples"}}
+
+
+@st.composite
+def _configs(draw):
+    """(experiment, config, well_formed): a config drawn from the table,
+    maybe broken."""
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    _, one_of, fields = EXPERIMENTS[name]
+    required = {"seed"} | {k for k, (d, _) in fields.items() if d is REQUIRED}
+    given = {draw(st.sampled_from(one_of))} if one_of else set()
+    always = required | given | _ALWAYS_SET.get(name, set())
+    cfg = {"experiment": name}
+    for field, values in _TINY[name].items():
+        if field in always or (field not in one_of and draw(st.booleans())):
+            cfg[field] = draw(st.sampled_from(values))
+    how = draw(st.sampled_from(["none", "drop", "add", "replace"]))
+    if how == "drop":
+        del cfg[draw(st.sampled_from(sorted((required | given) & cfg.keys())))]
+    elif how == "add":
+        cfg[draw(st.sampled_from(["n_scenario", "sample", "Dims", "extra"]))] = 1
+    elif how == "replace":
+        cfg[draw(st.sampled_from(sorted(cfg)))] = draw(st.sampled_from(_BAD_VALUES))
+    return name, cfg, how == "none"
+
+
+class TestConfigTable:
+    def test_tiny_values_cover_the_table(self):
+        for name, (_, _, fields) in EXPERIMENTS.items():
+            assert set(_TINY[name]) == {"seed", "output"} | set(fields)
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(_configs())
+    def test_every_config_runs_or_exits_one(self, case):
+        name, cfg, well_formed = case
+        if well_formed:  # the table accepts it; the library may still refuse
+            ExperimentConfig.from_dict(cfg)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.json"
+            path.write_text(json.dumps(cfg))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([name, "--config", str(path), "--out-dir", d])
+        event(f"well-formed={well_formed}, exit {code}")
+        out, err = out.getvalue(), err.getvalue()
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 2) and err == ""
+            assert out.split()[-1] == ("PASS" if code == 0 else "FAIL")

@@ -156,3 +156,5 @@ class TestMeasureZeroExperiment:
             measure_zero_experiment(SystemDims((2, 2)), 5, 1e-6, RngStream(0), "hybrid")
         with pytest.raises(ValueError, match="sample"):
             measure_zero_experiment(SystemDims((2, 2)), 0, 1e-6, RngStream(0))
+        with pytest.raises(ValueError, match="two sites"):
+            measure_zero_experiment(SystemDims((4,)), 5, 1e-6, RngStream(0))
