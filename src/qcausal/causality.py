@@ -47,16 +47,19 @@ from .tensor import (
 )
 
 
+def _off_block(ops, sites, dims: SystemDims) -> np.ndarray:
+    """``op - embed(tr_rest(op) / d_rest, sites)`` for each op of a (..., D, D)
+    stack: the part off the algebra on ``sites``, zero exactly on that algebra."""
+    rest = tuple(s for s in range(dims.nsites) if s not in sites)
+    reduced = partial_trace(ops, dims, rest) / dims.block_dim(rest)
+    return ops - embed_operator(reduced, sites, dims)
+
+
 def is_supported_on(op, sites, dims: SystemDims, tol: float = DEFAULT_TOL) -> bool:
     """True if ``op`` equals (operator on sites) (x) identity elsewhere."""
     op = np.asarray(op, dtype=complex)
     sites = tuple(sorted(int(s) for s in sites))
-    rest = tuple(s for s in range(dims.nsites) if s not in sites)
-    if not rest:
-        return True
-    d_rest = dims.block_dim(rest)
-    reduced = partial_trace(op, dims, rest) / d_rest
-    return bool(np.abs(op - embed_operator(reduced, sites, dims)).max() <= tol)
+    return bool(np.abs(_off_block(op, sites, dims)).max() <= tol)
 
 
 def is_local_channel(
@@ -64,21 +67,17 @@ def is_local_channel(
 ) -> bool:
     """True if ``c`` acts as the identity on every operator supported off ``sites``.
 
-    Checked on a Hermitian orthonormal basis of the complement algebra, which
-    spans it; for a unital CP map the fixed complement algebra then lies in
-    the multiplicative domain, so the check characterizes tensor-factor
-    locality, not merely a necessary condition.
+    Tests ``max |sum_i off(K_i)^+ off(K_i)| <= tol``, ``off`` being the part
+    off the algebra on ``sites``.  If ``c`` fixes every ``B`` off ``sites`` it
+    fixes ``B^+ B``, so ``sum_i [B, K_i]^+ [B, K_i] = 0`` (multiplicative
+    domain, Choi 1974): every ``K_i`` lies in the algebra on ``sites``; the
+    converse is plain.  The Gram sum is the same for every Kraus family of
+    ``c`` and, like ``c(B) - B``, linear in a mixing weight.
     """
     sites = tuple(sorted(int(s) for s in sites))
-    rest = tuple(s for s in range(c.dims.nsites) if s not in sites)
-    if not rest:
-        return True
-    d_rest = c.dims.block_dim(rest)
-    for b in hermitian_basis(d_rest):
-        amb = embed_operator(b, rest, c.dims)
-        if np.abs(c.apply(amb) - amb).max() > tol:
-            return False
-    return True
+    off = _off_block(c.kraus, sites, c.dims)
+    gram = np.einsum("kij,kil->jl", off.conj(), off)
+    return bool(np.abs(gram).max() <= tol)
 
 
 @dataclass
@@ -165,16 +164,11 @@ def semicausal_defect(
     p = part if sender == "left" else part.swapped()
     s_sites, r_sites = p.left, p.right
     dims = part.dims
-    d_s = dims.block_dim(s_sites)
     basis = hermitian_basis(dims.block_dim(r_sites))
-    cols = []
-    for b in basis:
-        img = c.apply(embed_operator(b, r_sites, dims))
-        reduced = partial_trace(img, dims, s_sites) / d_s
-        cols.append(hermitian_vector(img - embed_operator(reduced, r_sites, dims)))
-    mat = np.array(cols).T  # real, (D*D, d_R*d_R)
-    u_, svals, vt = np.linalg.svd(mat)
-    strength = float(svals[0]) if svals.size else 0.0
+    images = c.apply(embed_operator(basis, r_sites, dims))
+    mat = hermitian_vector(_off_block(images, r_sites, dims)).T  # (D*D, d_R*d_R)
+    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    strength = float(svals[0])
     v = vt[0]
     # fix the overall sign for reproducibility
     lead = v[np.argmax(np.abs(v))]

@@ -55,9 +55,12 @@ class KrausChannel:
         return self.kraus.shape[0]
 
     def apply(self, op) -> np.ndarray:
-        """Heisenberg action sum_i K_i^+ op K_i."""
+        """Heisenberg action sum_i K_i^+ op K_i; ``op`` may be a (..., D, D) stack.
+
+        One Kraus operator at a time, so memory stays that of ``op``.
+        """
         op = np.asarray(op, dtype=complex)
-        return np.einsum("kji,jl,klm->im", self.kraus.conj(), op, self.kraus)
+        return sum(k.conj().T @ op @ k for k in self.kraus)
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         """Dual (state) action sum_i K_i rho K_i^+; for tests and cross-checks."""
@@ -249,22 +252,19 @@ def local_random_channel(dims: SystemDims, rng) -> KrausChannel:
 def zoo(name: str, dims: SystemDims | None = None, **params) -> KrausChannel:
     """Named channel constructors for experiments and tests.
 
-    Recognized names: identity, product-unitary (params: unitaries),
-    cnot, swap (params: d), depolarizing (params: lam),
-    classical-one-way, local-random (params: rng).
+    Recognized names: identity, cnot, swap (params: d, default 2),
+    depolarizing (params: lam), classical-one-way, local-random (params: rng).
     """
     if name == "identity":
         return identity_channel(dims)
-    if name == "product-unitary":
-        return product_unitary_channel(params["unitaries"], dims)
     if name == "cnot":
         return cnot_channel()
     if name == "swap":
-        return swap_channel(int(params.get("d", 2)))
+        return swap_channel(**params)
     if name == "depolarizing":
-        return depolarizing_channel(dims, float(params["lam"]))
+        return depolarizing_channel(dims, **params)
     if name == "classical-one-way":
         return classical_one_way_channel()
     if name == "local-random":
-        return local_random_channel(dims, params["rng"])
+        return local_random_channel(dims, **params)
     raise ValueError(f"unknown channel zoo entry: {name!r}")

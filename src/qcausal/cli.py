@@ -188,6 +188,7 @@ _EPSILONS = _rule(
     lambda v: _is_reals(v) and max(v, default=0) > 0,
     _floats,
 )
+_WEIGHT = _rule("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1, float)
 _FLAG = _rule("true or false", lambda v: type(v) is bool)
 _TEXT = _rule("a string", lambda v: type(v) is str)
 _FILE = _rule("a file name", lambda v: type(v) is str and v != "" and "/" not in v)
@@ -206,6 +207,25 @@ def _choice(*options):
     return _rule(" or ".join(map(repr, options)), lambda v: v in options)
 
 
+#: The zoo channels a config may name, each with its own params table.
+ZOO = {
+    "identity": {},
+    "cnot": {},
+    "swap": {"d": (2, _rule("an integer >= 2", lambda v: _is_int(v) and v >= 2))},
+    "depolarizing": {"lam": (REQUIRED, _WEIGHT)},
+    "classical-one-way": {},
+    "local-random": {},
+}
+_ZOO_SPEC = _object(name=(REQUIRED, _choice(*ZOO)), params=({}, _OBJECT))
+
+
+def _zoo(name, value):
+    """A zoo channel ``{"name", "params"}``, params checked against its entry."""
+    spec = _ZOO_SPEC(name, value)
+    spec["params"] = _validate(ZOO[spec["name"]], spec["params"], name + ".params.")
+    return spec
+
+
 # Fields every experiment takes ("experiment" is checked before the table).
 _COMMON = {
     "experiment": (REQUIRED, _TEXT),
@@ -216,7 +236,7 @@ _COMMON = {
 _CHANNEL = {
     "unitary": (None, _LIST),
     "channel": (None, _OBJECT),
-    "zoo": (None, _OBJECT),
+    "zoo": (None, _zoo),
 }
 
 
@@ -251,17 +271,8 @@ def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
             raise ConfigError("channel dims do not match config dims")
         return c
     spec = params["zoo"]
-    if "name" not in spec:
-        raise ConfigError("a zoo channel must be an object with a 'name'")
-    try:
-        zoo_params = dict(spec.get("params", {}))
-        if spec["name"] == "local-random":
-            zoo_params["rng"] = rng
-        c = zoo(spec["name"], dims, **zoo_params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(
-            f"bad parameters for zoo channel {spec['name']!r}: {exc}"
-        ) from exc
+    extra = {"rng": rng} if spec["name"] == "local-random" else {}
+    c = zoo(spec["name"], dims, **spec.get("params", {}), **extra)
     if c.dims != dims:
         raise ConfigError(
             f"zoo channel {spec['name']!r} has dims {c.dims.dims}, "
@@ -604,8 +615,8 @@ EXPERIMENTS = {
         "epsilons": ([1e-1, 1e-2, 1e-3, 1e-4], _EPSILONS),
         "linearity_rtol": (1e-9, _TOL),
         "tol": (1e-10, _TOL),
-        "causal": ({"name": "identity"}, _OBJECT),
-        "acausal": ({"name": "classical-one-way"}, _OBJECT),
+        "causal": ({"name": "identity"}, _zoo),
+        "acausal": ({"name": "classical-one-way"}, _zoo),
     }),
     "lattice-sorkin": (_run_lattice_sorkin, (), {
         # unset nested fields take the LatticeSpec and BuildOptions defaults
@@ -669,7 +680,10 @@ def main(argv=None) -> int:
                 f"{args.experiment!r} subcommand was invoked"
             )
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out-dir {args.out_dir}: {exc}") from exc
         report, code = run(cfg, out_dir, args.verbose)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

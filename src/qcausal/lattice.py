@@ -149,7 +149,7 @@ def triangular_bump(
     return TestFunction(vals)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _base_table(lattice: LatticeSpec) -> np.ndarray:
     """Retarded impulse table E[dt, dx] for a kick at the origin (cached)."""
     table = impulse_response(lattice.n_sites, lattice.n_steps, lattice.mass)

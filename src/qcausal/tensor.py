@@ -149,8 +149,8 @@ def tensor_product(*ops) -> np.ndarray:
 
 def _check_square(op: np.ndarray, dims: SystemDims, name: str = "operator"):
     d = dims.total
-    if op.shape != (d, d):
-        raise ValueError(f"{name} has shape {op.shape}, expected ({d}, {d})")
+    if op.shape[-2:] != (d, d):
+        raise ValueError(f"{name} has shape {op.shape}, expected (..., {d}, {d})")
 
 
 def _check_sites(sites, dims: SystemDims):
@@ -167,42 +167,44 @@ def embed_operator(op, sites, dims: SystemDims) -> np.ndarray:
     """Embed ``op`` acting on ``sites`` into the full system, identity elsewhere.
 
     ``op`` must act on the tensor product of the listed sites, with its
-    factors ordered exactly as ``sites`` is given.
+    factors ordered exactly as ``sites`` is given.  Leading axes of a
+    ``(..., d, d)`` stack are kept.
     """
     op = np.asarray(op, dtype=complex)
     sites = _check_sites(sites, dims)
     d = dims.dims
     d_sites = dims.block_dim(sites)
-    if op.shape != (d_sites, d_sites):
+    if op.shape[-2:] != (d_sites, d_sites):
         raise ValueError(
             f"operator shape {op.shape} does not match sites {sites} "
             f"with dims {tuple(d[s] for s in sites)}"
         )
     rest = tuple(s for s in range(dims.nsites) if s not in sites)
-    d_rest = dims.block_dim(rest)
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
+    lead = op.shape[:-2]
+    full = np.kron(op, np.eye(dims.block_dim(rest), dtype=complex))
     # `full` carries the factors in order sites + rest; permute to site order.
     order = sites + rest
-    n = dims.nsites
-    shaped = full.reshape([d[s] for s in order] * 2)
-    inv = np.argsort(order)
-    shaped = shaped.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(shaped.reshape(dims.total, dims.total))
+    n, k = dims.nsites, len(lead)
+    shaped = full.reshape(lead + tuple(d[s] for s in order) * 2)
+    inv = [k + i for i in np.argsort(order)]
+    shaped = shaped.transpose(list(range(k)) + inv + [n + i for i in inv])
+    return np.ascontiguousarray(shaped.reshape(lead + (dims.total, dims.total)))
 
 
 def partial_trace(op, dims: SystemDims, sites) -> np.ndarray:
-    """Trace out the listed sites; the result keeps the remaining sites in order."""
+    """Trace out the listed sites, keeping the rest in order and any leading axes."""
     op = np.asarray(op, dtype=complex)
     _check_square(op, dims)
     sites = _check_sites(sites, dims)
     n = dims.nsites
-    shaped = op.reshape(list(dims.dims) * 2)
+    lead = op.shape[:-2]
+    shaped = op.reshape(lead + dims.dims * 2)
     # Row axis i keeps index i; the column axis of a traced site repeats it.
     subs = list(range(n)) + [i if i in sites else n + i for i in range(n)]
     keep = [i for i in range(n) if i not in sites]
-    out = np.einsum(shaped, subs, keep + [n + i for i in keep])
+    out = np.einsum(shaped, [..., *subs], [..., *keep, *(n + i for i in keep)])
     d_keep = dims.block_dim(keep)
-    return out.reshape(d_keep, d_keep)
+    return out.reshape(lead + (d_keep, d_keep))
 
 
 def realign(op, part: Bipartition) -> np.ndarray:
@@ -273,14 +275,13 @@ def hermitian_vector(op) -> np.ndarray:
 
     Stacks the diagonal with sqrt(2)-weighted real and imaginary parts of the
     strict upper triangle, so ``norm(hermitian_vector(H)) == norm(H, 'fro')``
-    for Hermitian ``H``.
+    for Hermitian ``H``.  Leading axes of a ``(..., d, d)`` stack are kept.
     """
     op = np.asarray(op)
-    iu = np.triu_indices(op.shape[0], k=1)
-    upper = op[iu]
-    return np.concatenate(
-        [np.diag(op).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag]
-    )
+    rows, cols = np.triu_indices(op.shape[-1], k=1)
+    upper = np.sqrt(2) * op[..., rows, cols]
+    diag = np.diagonal(op, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
 def frobenius_inner(a, b) -> complex:

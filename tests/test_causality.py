@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -35,7 +36,17 @@ from qcausal.sampling import (
     random_kraus_channel,
     random_sorkin_scenario,
 )
-from qcausal.tensor import Bipartition, SystemDims, embed_operator, polar_unitary, realign
+from qcausal.tensor import (
+    Bipartition,
+    SystemDims,
+    all_bipartitions,
+    embed_operator,
+    hermitian_basis,
+    hermitian_vector,
+    partial_trace,
+    polar_unitary,
+    realign,
+)
 
 from conftest import I2, X, Y, Z
 
@@ -49,6 +60,59 @@ def _ket(*bits):
         e[b] = 1.0
         v = np.kron(v, e)
     return v
+
+
+def _apply_loop(c, op):
+    """sum_i K_i^+ op K_i, one Kraus operator at a time."""
+    return sum(k.conj().T @ op @ k for k in c.kraus)
+
+
+def _local_deviation_loop(c, sites):
+    """The former ``is_local_channel`` measure, one apply per basis element of
+    the complement: max |c(1 (x) b) - 1 (x) b|; local means <= tol."""
+    rest = tuple(s for s in range(c.dims.nsites) if s not in sites)
+    if not rest:
+        return 0.0
+    dev = 0.0
+    for b in hermitian_basis(c.dims.block_dim(rest)):
+        amb = embed_operator(b, rest, c.dims)
+        dev = max(dev, np.abs(_apply_loop(c, amb) - amb).max())
+    return dev
+
+
+def _off_gram(c, sites):
+    """max |sum_i off(K_i)^+ off(K_i)|, built one Kraus operator at a time."""
+    rest = tuple(s for s in range(c.dims.nsites) if s not in sites)
+    d_rest = c.dims.block_dim(rest)
+    total = 0
+    for k in c.kraus:
+        off = k - embed_operator(partial_trace(k, c.dims, rest) / d_rest, sites, c.dims)
+        total = total + off.conj().T @ off
+    return np.abs(total).max()
+
+
+def _defect_loop(c, part, sender):
+    """The former ``semicausal_defect``: one apply per receiver basis element,
+    full SVD.  Returns (strength, witness)."""
+    p = part if sender == "left" else part.swapped()
+    dims = part.dims
+    basis = hermitian_basis(dims.block_dim(p.right))
+    cols = []
+    for b in basis:
+        img = _apply_loop(c, embed_operator(b, p.right, dims))
+        reduced = partial_trace(img, dims, p.left) / dims.block_dim(p.left)
+        cols.append(hermitian_vector(img - embed_operator(reduced, p.right, dims)))
+    _, svals, vt = np.linalg.svd(np.array(cols).T)
+    v = vt[0] if vt[0][np.argmax(np.abs(vt[0]))] >= 0 else -vt[0]
+    return svals[0], np.tensordot(v, basis, axes=1)
+
+
+def _dims_id(dims):
+    return "x".join(map(str, dims))
+
+
+#: Mixing weights of the locality grid: the unmixed channel, then 1e-3 .. 1e-13.
+_LOCALITY_EPSILONS = [1.0] + [10.0**-k for k in range(3, 14)]
 
 
 class TestSupportAndLocality:
@@ -70,6 +134,51 @@ class TestSupportAndLocality:
         assert is_local_channel(embed_local(inner, (0,), dims), (0,))
         assert not is_local_channel(cnot_channel(), (0,))
         assert not is_local_channel(cnot_channel(), (1,))
+        # a product of unitaries on both sites acts on site 1 too
+        assert not is_local_channel(product_unitary_channel([X, Z]), (0,))
+        assert is_local_channel(product_unitary_channel([X, I2]), (0,))
+        # mixtures on either side of tol: the Gram sum is linear in the weight
+        local = embed_local(inner, (0,), dims)
+        gram = _off_gram(cnot_channel(), (0,))
+        for factor, expected in [(0.5, True), (2.0, False)]:
+            c = mix(cnot_channel(), local, factor * 1e-10 / gram)
+            assert is_local_channel(c, (0,), tol=1e-10) is expected
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (3, 3), (4, 4)], ids=_dims_id
+    )
+    def test_local_channel_matches_basis_loop(self, dims):
+        # Every site block; a local channel mixed with a local, a global and a
+        # Haar-unitary channel.  The Kraus criterion and the former basis loop
+        # measure the same first-order defect in two ways that stay within a
+        # factor 2 of each other, so the verdicts agree unless the deviation
+        # lies within that factor of tol (at eps == tol they may differ).
+        dims = SystemDims(dims)
+        g = RngStream(33).generator()
+
+        def local_channel(sites, nkraus):
+            if not sites:
+                return identity_channel(dims)
+            inner = SystemDims(tuple(dims.dims[s] for s in sites))
+            return embed_local(random_kraus_channel(inner, nkraus, g), sites, dims)
+
+        n = dims.nsites
+        for sites in [b for r in range(n + 1) for b in combinations(range(n), r)]:
+            base = local_channel(sites, 3)
+            perturbations = [
+                local_channel(sites, 2),
+                random_kraus_channel(dims, 3, g),
+                from_unitary(haar_unitary(dims.total, g), dims),
+            ]
+            for perturbation in perturbations:
+                for eps in _LOCALITY_EPSILONS:
+                    c = mix(perturbation, base, eps)
+                    dev, gram = _local_deviation_loop(c, sites), _off_gram(c, sites)
+                    if dev > 1e-13:
+                        assert 0.5 * dev <= gram <= 2.0 * dev
+                    for tol in (1e-10, 1e-8):
+                        if not 0.5 * tol <= dev <= 2.0 * tol:
+                            assert is_local_channel(c, sites, tol) == (dev <= tol)
 
 
 class TestScenarioValidation:
@@ -251,6 +360,19 @@ class TestSemicausalDefect:
         parsed = json.loads(blob)
         assert parsed["direction"] == [[0], [1]]
         np.testing.assert_allclose(parsed["strength"], np.sqrt(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3)], ids=_dims_id)
+    def test_matches_basis_loop(self, dims):
+        dims = SystemDims(dims)
+        g = RngStream(34).generator()
+        for part in all_bipartitions(dims):
+            for nkraus in (1, 3):
+                c = random_kraus_channel(dims, nkraus, g)
+                for sender in ("left", "right"):
+                    rep = semicausal_defect(c, part, sender=sender)
+                    strength, witness = _defect_loop(c, part, sender)
+                    np.testing.assert_allclose(rep.strength, strength, rtol=1e-12)
+                    np.testing.assert_allclose(rep.witness, witness, atol=1e-12)
 
     def test_rejects_bad_sender(self):
         with pytest.raises(ValueError, match="sender"):

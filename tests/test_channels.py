@@ -57,6 +57,9 @@ class TestKrausChannel:
         op = _rand_op(rng, 4)
         naive = sum(k.conj().T @ op @ k for k in c.kraus)
         np.testing.assert_allclose(c.apply(op), naive, atol=1e-12)
+        stack = np.array([[_rand_op(rng, 4) for _ in range(3)] for _ in range(2)])
+        per_element = [[c.apply(o) for o in row] for row in stack]
+        np.testing.assert_allclose(c.apply(stack), per_element, atol=1e-12)
 
     def test_unitality_fixed_point(self):
         c = random_kraus_channel(SystemDims((2, 3)), 4, RngStream(6))

@@ -10,6 +10,7 @@ import pytest
 from qcausal.cli import (
     EXPERIMENTS,
     REQUIRED,
+    ZOO,
     ConfigError,
     ExperimentConfig,
     emit_csv,
@@ -188,6 +189,28 @@ class TestExitCodes:
             ("lattice-sorkin", {"lattice": {"n_sites": 64.5, "n_steps": 16}}, "lattice.n_sites"),
             ("sample-haar", {"n_samples": True}, "n_samples"),
             ("nearest-product", {"unitary": _CNOT}, "n_samples"),
+            ("check-causal", {"zoo": {"name": "swap", "params": {"d": 2.7}}}, "zoo.params.d"),
+            (
+                "check-causal",
+                {"zoo": {"name": "depolarizing", "params": {"lam": True}}},
+                "zoo.params.lam",
+            ),
+            (
+                "check-causal",
+                {"zoo": {"name": "depolarizing", "params": {"lam": "0.5"}}},
+                "zoo.params.lam",
+            ),
+            ("check-causal", {"zoo": {"name": "cnot", "params": {"foo": 1}}}, "zoo.params.foo"),
+            (
+                "perturb-ball",
+                {"acausal": {"name": "swap", "params": {"d": 2.0}}},
+                "acausal.params.d",
+            ),
+            (
+                "perturb-ball",
+                {"causal": {"name": "identity", "params": {"foo": 1}}},
+                "causal.params.foo",
+            ),
             # each of these exited 2
             ("check-causal", {"n_scenarios": -3}, "n_scenarios"),
             ("nearest-product", {"max_iter": 0}, "max_iter"),
@@ -208,6 +231,12 @@ class TestExitCodes:
             "fractional-sites",
             "bool-count",
             "samples-and-unitary",
+            "fractional-swap-d",
+            "bool-lam",
+            "string-lam",
+            "unknown-zoo-param",
+            "float-swap-d",
+            "unknown-causal-param",
             "negative-count",
             "zero-max-iter",
         ],
@@ -219,6 +248,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(field) in err
+
+    def test_out_dir_that_is_a_file_is_one(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=3))
+        code = main(["sample-haar", "--config", cfg, "--out-dir", cfg])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--out-dir" in err
 
     def test_failed_expectation_is_two(self, tmp_path, capsys):
         # a global Haar draw essentially never lands on a product unitary
@@ -464,3 +501,12 @@ class TestReadme:
                     assert cell == "—", field
                 else:
                     assert json.loads(cell.strip("`")) == default, field
+        table = text.split("#### Zoo channels\n", 1)[1]
+        table = table.split("| entry |", 1)[1].split("\n\n")[0]
+        listed = {}
+        for line in table.splitlines()[2:]:
+            entry, param, _, default = (c.strip(" `") for c in line.split("|")[1:5])
+            params = listed.setdefault(entry, {})
+            if param != "—":
+                params[param] = REQUIRED if default == "required" else json.loads(default)
+        assert listed == {n: {k: d for k, (d, _) in p.items()} for n, p in ZOO.items()}

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qcausal.cli import EXPERIMENTS, REQUIRED, ExperimentConfig, main
+from qcausal.cli import EXPERIMENTS, REQUIRED, ZOO, ExperimentConfig, main
 
 _CNOT = [
     [[1, 0], [0, 0], [0, 0], [0, 0]],
@@ -20,6 +20,29 @@ _CNOT = [
     [[0, 0], [0, 0], [1, 0], [0, 0]],
 ]
 _WIRE_CNOT = {"dims": [2, 2], "kraus": [_CNOT]}
+
+# Small valid params for every zoo entry in ``ZOO``.
+_TINY_ZOO = {
+    "identity": {},
+    "cnot": {},
+    "swap": {"d": [2, 3]},
+    "depolarizing": {"lam": [0.5, 0, 1]},
+    "classical-one-way": {},
+    "local-random": {},
+}
+
+
+@st.composite
+def _zoo_specs(draw):
+    """A zoo channel drawn from ``ZOO``: its required params, maybe the others."""
+    name = draw(st.sampled_from(sorted(ZOO)))
+    params = {
+        k: draw(st.sampled_from(_TINY_ZOO[name][k]))
+        for k, (default, _) in ZOO[name].items()
+        if default is REQUIRED or draw(st.booleans())
+    }
+    return {"name": name, "params": params} if params or draw(st.booleans()) else {"name": name}
+
 
 # Small valid values for every field of every experiment in the config table;
 # any combination of them (with exactly one channel input where the table
@@ -33,7 +56,7 @@ _TINY = {
         "n_scenarios": [1, 2],
         "unitary": [_CNOT],
         "channel": [_WIRE_CNOT],
-        "zoo": [{"name": n} for n in ("cnot", "local-random", "classical-one-way")],
+        "zoo": _zoo_specs(),
     },
     "sample-haar": {
         "seed": [77, 0],
@@ -55,7 +78,7 @@ _TINY = {
         "n_samples": [1, 2],
         "unitary": [_CNOT],
         "channel": [_WIRE_CNOT],
-        "zoo": [{"name": "cnot"}, {"name": "swap"}],
+        "zoo": _zoo_specs(),
     },
     "perturb-ball": {
         "seed": [4, 0],
@@ -66,8 +89,8 @@ _TINY = {
         "epsilons": [[0.1, 0.01], [1e-3]],
         "linearity_rtol": [1e-9, 0.5],
         "tol": [1e-10, 1e-6],
-        "causal": [{"name": "identity"}, {"name": "local-random"}],
-        "acausal": [{"name": "cnot"}, {"name": "swap"}],
+        "causal": _zoo_specs(),
+        "acausal": _zoo_specs(),
     },
     "lattice-sorkin": {
         "seed": [0, 5],
@@ -97,14 +120,23 @@ def _configs(draw):
     cfg = {"experiment": name}
     for field, values in _TINY[name].items():
         if field in always or (field not in one_of and draw(st.booleans())):
-            cfg[field] = draw(st.sampled_from(values))
+            strategy = values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
+            cfg[field] = draw(strategy)
     how = draw(st.sampled_from(["none", "drop", "add", "replace"]))
     if how == "drop":
         del cfg[draw(st.sampled_from(sorted((required | given) & cfg.keys())))]
     elif how == "add":
         cfg[draw(st.sampled_from(["n_scenario", "sample", "Dims", "extra"]))] = 1
     elif how == "replace":
-        cfg[draw(st.sampled_from(sorted(cfg)))] = draw(st.sampled_from(_BAD_VALUES))
+        field = draw(st.sampled_from(sorted(cfg)))
+        bad = draw(st.sampled_from(_BAD_VALUES))
+        spec = cfg[field]
+        if isinstance(spec, dict) and "name" in spec and draw(st.booleans()):
+            # break one param of a zoo channel instead of the whole field
+            param = draw(st.sampled_from(["d", "lam"]))
+            cfg[field] = {"name": spec["name"], "params": {**spec.get("params", {}), param: bad}}
+        else:
+            cfg[field] = bad
     return name, cfg, how == "none"
 
 
@@ -112,6 +144,7 @@ class TestConfigTable:
     def test_tiny_values_cover_the_table(self):
         for name, (_, _, fields) in EXPERIMENTS.items():
             assert set(_TINY[name]) == {"seed", "output"} | set(fields)
+        assert {n: set(p) for n, p in _TINY_ZOO.items()} == {n: set(p) for n, p in ZOO.items()}
 
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
     @given(_configs())

@@ -114,6 +114,11 @@ class TestPartialTrace:
         d = SystemDims((2, 2, 2))
         got = partial_trace(tensor_product(*mats), d, (1,))
         np.testing.assert_allclose(got, np.trace(mats[1]) * np.kron(mats[0], mats[2]))
+        # a (2, 3, 8, 8) stack traces element by element
+        stack = rng.standard_normal((2, 3, 8, 8)) + 1j * rng.standard_normal((2, 3, 8, 8))
+        for sites in [(1,), (0, 2), ()]:
+            per_element = [[partial_trace(op, d, sites) for op in row] for row in stack]
+            np.testing.assert_array_equal(partial_trace(stack, d, sites), per_element)
 
     def test_full_trace(self, rng):
         op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -148,6 +153,11 @@ class TestEmbedOperator:
         d = SystemDims((2, 2, 2))
         got = embed_operator(np.kron(a, c), (0, 2), d)
         np.testing.assert_allclose(got, np.kron(a, np.kron(I2, c)), atol=1e-13)
+        # a (2, 3, 4, 4) stack embeds element by element
+        stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        for sites in [(0, 2), (2, 0)]:
+            per_element = [[embed_operator(op, sites, d) for op in row] for row in stack]
+            np.testing.assert_array_equal(embed_operator(stack, sites, d), per_element)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -249,6 +259,9 @@ class TestSmallHelpers:
         v = hermitian_vector(h)
         assert v.shape == (16,)
         np.testing.assert_allclose(np.linalg.norm(v), np.linalg.norm(h), rtol=1e-13)
+        stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        per_element = [[hermitian_vector(op) for op in row] for row in stack]
+        np.testing.assert_array_equal(hermitian_vector(stack), per_element)
 
     def test_frobenius_inner(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
