@@ -127,8 +127,7 @@ def embed_local(c: KrausChannel, sites, ambient: SystemDims) -> KrausChannel:
             f"channel dims {c.dims.dims} do not match ambient dims {expected} "
             f"at sites {sites}"
         )
-    kraus = [embed_operator(k, sites, ambient) for k in c.kraus]
-    return KrausChannel(kraus, ambient)
+    return KrausChannel(embed_operator(c.kraus, sites, ambient), ambient)
 
 
 def kraus_to_choi(c: KrausChannel) -> ChoiMatrix:
@@ -244,9 +243,9 @@ def classical_one_way_channel() -> KrausChannel:
 
 def local_random_channel(dims: SystemDims, rng) -> KrausChannel:
     """Conjugation by an independent Haar unitary on every site."""
-    from .sampling import haar_unitary  # local import keeps the module graph acyclic
+    from .sampling import haar_local_unitary  # local: avoids an import cycle
 
-    return product_unitary_channel([haar_unitary(d, rng) for d in dims.dims], dims)
+    return from_unitary(haar_local_unitary(dims, rng), dims)
 
 
 def zoo(name: str, dims: SystemDims | None = None, **params) -> KrausChannel:

@@ -323,9 +323,11 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
 
     defects = []
     one_way = []
+    sorkin_max = 0.0
+    schmidt = {}
     for part in all_bipartitions(dims):
         per_dir = {}
-        for sender in ("left", "right"):
+        for sender, oriented in (("left", part), ("right", part.swapped())):
             rep = semicausal_defect(channel, part, sender=sender)
             per_dir[sender] = rep.strength
             defects.append(
@@ -336,17 +338,17 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
                     "strength": rep.strength,
                 }
             )
-        flags = [per_dir["left"] > tol, per_dir["right"] > tol]
-        if flags[0] != flags[1]:
-            one_way.append({"left": list(part.left), "right": list(part.right)})
-    defect_causal = all(d["strength"] <= tol for d in defects)
-
-    sorkin_max = 0.0
-    for part in all_bipartitions(dims):
-        for oriented in (part, part.swapped()):
             for _ in range(n_scenarios):
                 s = random_sorkin_scenario(oriented, channel, rng)
                 sorkin_max = max(sorkin_max, abs(sorkin_violation(s)))
+        flags = [per_dir["left"] > tol, per_dir["right"] > tol]
+        if flags[0] != flags[1]:
+            one_way.append({"left": list(part.left), "right": list(part.right)})
+        if channel.nkraus == 1:
+            schmidt["-".join(map(str, part.left))] = [
+                float(s) for s in operator_schmidt_values(channel.kraus[0], part)
+            ]
+    defect_causal = all(d["strength"] <= tol for d in defects)
     sorkin_causal = sorkin_max <= tol
 
     results = {
@@ -360,14 +362,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     }
     verdicts = [defect_causal, sorkin_causal]
     if channel.nkraus == 1:
-        u = channel.kraus[0]
-        schmidt = {
-            "-".join(map(str, part.left)): [
-                float(s) for s in operator_schmidt_values(u, part)
-            ]
-            for part in all_bipartitions(dims)
-        }
-        product_verdict = is_causal_unitary(u, dims, tol)
+        product_verdict = is_causal_unitary(channel.kraus[0], dims, tol)
         results["schmidt_values_by_left_block"] = schmidt
         results["product_unitary"] = product_verdict
         verdicts.append(product_verdict)
@@ -671,6 +666,8 @@ def main(argv=None) -> int:
             raw = json.loads(Path(args.config).read_text())
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = ExperimentConfig.from_dict(raw)

@@ -16,6 +16,7 @@ there is deliberately no sparse or tensor-network path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -52,15 +53,15 @@ class SystemDims:
             raise ValueError("need at least one site")
         if any(d < 2 for d in dims):
             raise ValueError(f"every local dimension must be >= 2, got {dims}")
-        if int(np.prod(dims)) > MAX_TOTAL_DIM:
+        if math.prod(dims) > MAX_TOTAL_DIM:
             raise ValueError(
-                f"total dimension {int(np.prod(dims))} exceeds supported "
+                f"total dimension {math.prod(dims)} exceeds supported "
                 f"maximum {MAX_TOTAL_DIM}"
             )
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def nsites(self) -> int:
@@ -68,7 +69,7 @@ class SystemDims:
 
     def block_dim(self, sites) -> int:
         """Dimension of the tensor factor on ``sites``; 1 for no sites."""
-        return int(np.prod([self.dims[s] for s in sites]))
+        return math.prod(self.dims[s] for s in sites)
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -133,9 +134,7 @@ def all_bipartitions(dims: SystemDims):
     out = []
     for k in range(1, n):
         for rest in combinations(range(1, n), k - 1):
-            left = (0,) + rest
-            if len(left) < n:
-                out.append(Bipartition.split(dims, left))
+            out.append(Bipartition.split(dims, (0,) + rest))
     return out
 
 
@@ -179,16 +178,18 @@ def embed_operator(op, sites, dims: SystemDims) -> np.ndarray:
             f"operator shape {op.shape} does not match sites {sites} "
             f"with dims {tuple(d[s] for s in sites)}"
         )
-    rest = tuple(s for s in range(dims.nsites) if s not in sites)
-    lead = op.shape[:-2]
-    full = np.kron(op, np.eye(dims.block_dim(rest), dtype=complex))
-    # `full` carries the factors in order sites + rest; permute to site order.
-    order = sites + rest
-    n, k = dims.nsites, len(lead)
-    shaped = full.reshape(lead + tuple(d[s] for s in order) * 2)
-    inv = [k + i for i in np.argsort(order)]
-    shaped = shaped.transpose(list(range(k)) + inv + [n + i for i in inv])
-    return np.ascontiguousarray(shaped.reshape(lead + (dims.total, dims.total)))
+    n = dims.nsites
+    rest = [s for s in range(n) if s not in sites]
+    eye = np.eye(dims.block_dim(rest), dtype=complex)
+    # Adjoint of partial_trace: row leg i is label i, column leg i is n + i.
+    out = np.einsum(
+        op.reshape(op.shape[:-2] + tuple(d[s] for s in sites) * 2),
+        [..., *sites, *(n + s for s in sites)],
+        eye.reshape(tuple(d[s] for s in rest) * 2),
+        [*rest, *(n + s for s in rest)],
+        [..., *range(2 * n)],
+    )
+    return out.reshape(op.shape[:-2] + (dims.total, dims.total))
 
 
 def partial_trace(op, dims: SystemDims, sites) -> np.ndarray:
@@ -218,16 +219,12 @@ def realign(op, part: Bipartition) -> np.ndarray:
     """
     op = np.asarray(op, dtype=complex)
     _check_square(op, part.dims)
-    d = part.dims.dims
     n = part.dims.nsites
-    order = part.left + part.right
-    shaped = op.reshape(list(d) * 2)
-    perm = list(order) + [n + s for s in order]
-    shaped = shaped.transpose(perm)
-    dl, dr = part.left_dim, part.right_dim
-    # (i, j, i', j') -> (i, i', j, j')
-    blocked = shaped.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(blocked.reshape(dl * dl, dr * dr))
+    # Legs (i, j, i', j') -> (i, i', j, j'), left block first.
+    perm = [*part.left, *(n + s for s in part.left)]
+    perm += [*part.right, *(n + s for s in part.right)]
+    shaped = op.reshape(part.dims.dims * 2).transpose(perm)
+    return shaped.reshape(part.left_dim**2, part.right_dim**2)
 
 
 def polar_unitary(m) -> np.ndarray:

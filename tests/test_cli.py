@@ -119,6 +119,13 @@ class TestExitCodes:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_unreadable_config_is_one(self, tmp_path, capsys):
+        code = main(["sample-haar", "--config", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config")
+        assert err.count("\n") == 1
+
     def test_bad_json_is_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,85 @@ class TestEmbedOperator:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             embed_operator(np.eye(3), (0,), SystemDims((2, 2)))
+
+
+def _embed_kron_reference(op, sites, dims):
+    """Frozen kron-then-permute embedding that the einsum form replaced."""
+    op = np.asarray(op, dtype=complex)
+    d = dims.dims
+    rest = tuple(s for s in range(dims.nsites) if s not in sites)
+    lead = op.shape[:-2]
+    full = np.kron(op, np.eye(dims.block_dim(rest), dtype=complex))
+    order = tuple(sites) + rest
+    n, k = dims.nsites, len(lead)
+    shaped = full.reshape(lead + tuple(d[s] for s in order) * 2)
+    inv = [k + i for i in np.argsort(order)]
+    shaped = shaped.transpose(list(range(k)) + inv + [n + i for i in inv])
+    return np.ascontiguousarray(shaped.reshape(lead + (dims.total, dims.total)))
+
+
+def _realign_two_stage_reference(op, part):
+    """Frozen two-stage realignment that the single leg transpose replaced."""
+    d, n = part.dims.dims, part.dims.nsites
+    order = part.left + part.right
+    shaped = np.asarray(op).reshape(list(d) * 2)
+    shaped = shaped.transpose(list(order) + [n + s for s in order])
+    dl, dr = part.left_dim, part.right_dim
+    blocked = shaped.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(blocked.reshape(dl * dl, dr * dr))
+
+
+_REFERENCE_DIMS = [(2, 2), (2, 3, 2), (3, 3), (4, 4), (2,) * 6]
+
+
+def _site_choices(n):
+    """Single, partial, unsorted and all-site selections of ``n`` sites."""
+    choices = {(0,), (n - 1,), tuple(range(n)), tuple(reversed(range(n)))}
+    if n > 2:
+        choices |= {(0, n - 1), (n - 1, 1), (n - 1, 0, 1)}
+    return sorted(choices)
+
+
+class TestReferenceForms:
+    @pytest.mark.parametrize("dims", _REFERENCE_DIMS)
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    def test_embed_matches_kron_form(self, rng, dims, lead):
+        dims = SystemDims(dims)
+        for sites in _site_choices(dims.nsites):
+            ds = dims.block_dim(sites)
+            op = rng.standard_normal(lead + (ds, ds)) + 1j * rng.standard_normal(
+                lead + (ds, ds)
+            )
+            got = embed_operator(op, sites, dims)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, _embed_kron_reference(op, sites, dims))
+
+    @pytest.mark.parametrize("dims", _REFERENCE_DIMS)
+    def test_realign_matches_two_stage_form(self, rng, dims):
+        dims = SystemDims(dims)
+        d = dims.total
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for k in range(1, dims.nsites):
+            for left in itertools.combinations(range(dims.nsites), k):
+                part = Bipartition.split(dims, left)
+                got = realign(op, part)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, _realign_two_stage_reference(op, part))
+
+    @pytest.mark.parametrize("dims", _REFERENCE_DIMS)
+    def test_embed_is_adjoint_of_partial_trace(self, rng, dims):
+        # tr(embed(A)^+ B) == tr(A^+ tr_rest(B)), sites kept in ascending order
+        dims = SystemDims(dims)
+        d = dims.total
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for sites in _site_choices(dims.nsites):
+            sites = tuple(sorted(sites))
+            rest = [s for s in range(dims.nsites) if s not in sites]
+            ds = dims.block_dim(sites)
+            a = rng.standard_normal((ds, ds)) + 1j * rng.standard_normal((ds, ds))
+            lhs = frobenius_inner(embed_operator(a, sites, dims), b)
+            rhs = frobenius_inner(a, partial_trace(b, dims, rest))
+            assert abs(lhs - rhs) <= 1e-12 * d * np.abs(b).max() * np.abs(a).max()
 
 
 def _realign_oracle(op, dl, dr):
