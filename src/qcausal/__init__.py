@@ -18,6 +18,7 @@ from .causality import (
     is_causal_unitary,
     is_local_channel,
     is_supported_on,
+    nearest_product_unitaries,
     nearest_product_unitary,
     operator_schmidt_values,
     perturbation_probe,

@@ -186,6 +186,7 @@ def operator_schmidt_values(u, part: Bipartition) -> np.ndarray:
     These are the singular values of the realignment; their squares sum to
     ``norm(u, 'fro')**2`` (equal to the total dimension when ``u`` is
     unitary), and the second value vanishes exactly for product operators.
+    Leading axes of a ``(..., D, D)`` stack are kept.
     """
     return np.linalg.svd(realign(u, part), compute_uv=False)
 
@@ -225,6 +226,18 @@ def nearest_product_unitary(
     tol: float = 1e-12,
     max_iter: int = 500,
 ) -> ProductApproximation:
+    """Nearest product unitary to one unitary; see :func:`nearest_product_unitaries`."""
+    return nearest_product_unitaries(
+        np.asarray(u, dtype=complex)[None], part, tol=tol, max_iter=max_iter
+    )[0]
+
+
+def nearest_product_unitaries(
+    us,
+    part: Bipartition,
+    tol: float = 1e-12,
+    max_iter: int = 500,
+) -> list[ProductApproximation]:
     """Alternating maximization of ``|tr((u1 (x) u2)^+ u)|`` over local unitaries.
 
     Fixing one factor, the optimal other factor is the closest unitary (polar
@@ -234,50 +247,82 @@ def nearest_product_unitary(
     component, and ties (e.g. for swap-like unitaries, whose optimum is far
     from unique) are broken deterministically by the numpy SVD.
 
+    ``us`` is an ``(n, D, D)`` stack of targets, one result each.  All
+    targets still running share each sweep's stacked matmuls and polar
+    SVDs, which run the same BLAS and LAPACK call per target as a stack of
+    one, so every result equals that of the target run alone.  A target
+    leaves the stack when it stops.
+
     The reported distance is the Frobenius distance from ``u`` to the phase
     orbit of ``u1 (x) u2`` (mathematically ``sqrt(2 D - 2 overlap)``).  It is
     evaluated by direct subtraction at the optimal phase rather than through
     that formula, which cancels catastrophically when ``u`` is itself close
     to a product and would floor the result near ``sqrt(eps)``.
     """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
+    us = np.asarray(us, dtype=complex)
+    if us.ndim != 3 or len(us) == 0:
+        raise ValueError(f"need a non-empty (n, D, D) stack, got shape {us.shape}")
+    if not all(is_unitary(u) for u in us):
         raise ValueError("input is not unitary within tolerance")
-    r = realign(u, part)
+    n = len(us)
     dl, dr = part.left_dim, part.right_dim
-    d = part.dims.total
-    w, _, vh = np.linalg.svd(r)
-    u1 = polar_unitary(w[:, 0].reshape(dl, dl))
-    u2 = polar_unitary(vh[0].conj().reshape(dr, dr))
-
-    def half_steps(u1, u2):
-        u1 = polar_unitary((r @ u2.conj().reshape(dr * dr)).reshape(dl, dl))
-        contracted = r.T @ u1.conj().reshape(dl * dl)
-        u2 = polar_unitary(contracted.reshape(dr, dr))
-        return u1, u2, float(np.abs(u2.conj().reshape(dr * dr) @ contracted))
-
-    overlap = float(
-        np.abs(u1.conj().reshape(dl * dl) @ r @ u2.conj().reshape(dr * dr))
-    )
-    history = [overlap]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        u1, u2, new_overlap = half_steps(u1, u2)
-        history.append(new_overlap)
-        if new_overlap - overlap < tol:
-            overlap = max(new_overlap, overlap)
-            converged = True
-            break
-        overlap = new_overlap
+    r = realign(us, part)  # running targets are compacted to the front
+    u1 = np.empty((n, dl, dl), dtype=complex)
+    u2 = np.empty((n, dr, dr), dtype=complex)
+    for i, m in enumerate(r):
+        w, _, vh = np.linalg.svd(m)
+        u1[i] = w[:, 0].reshape(dl, dl)
+        u2[i] = vh[0].conj().reshape(dr, dr)
+    u1, u2 = polar_unitary(u1), polar_unitary(u2)
+    overlap = np.abs(
+        u1.conj().reshape(n, 1, dl * dl) @ r @ u2.conj().reshape(n, dr * dr, 1)
+    ).ravel().tolist()
+    history = [[x] for x in overlap]
+    # each target's factors, overlap and sweep count when it stopped
+    best1, best2, best = np.empty_like(u1), np.empty_like(u2), [0.0] * n
+    iterations, converged = [max_iter] * n, [False] * n
+    ids = list(range(n))  # target of each running slot
+    for sweep in range(1, max_iter + 1):
+        k = len(ids)
+        rk = r[:k]
+        u1 = polar_unitary((rk @ u2.conj().reshape(k, dr * dr, 1)).reshape(k, dl, dl))
+        contracted = rk.transpose(0, 2, 1) @ u1.conj().reshape(k, dl * dl, 1)
+        u2 = polar_unitary(contracted.reshape(k, dr, dr))
+        new = np.abs(u2.conj().reshape(k, 1, dr * dr) @ contracted).ravel().tolist()
+        keep = []
+        for j, t in enumerate(ids):
+            history[t].append(new[j])
+            if new[j] - overlap[j] < tol:
+                best[t] = max(new[j], overlap[j])
+                best1[t], best2[t] = u1[j], u2[j]
+                iterations[t], converged[t] = sweep, True
+            else:
+                keep.append(j)
+        overlap = new
+        if len(keep) < k:
+            for slot, j in enumerate(keep):
+                if slot != j:
+                    r[slot] = r[j]
+            ids, overlap = [ids[j] for j in keep], [new[j] for j in keep]
+            u1, u2 = u1[keep], u2[keep]
+            if not ids:
+                break
+    for j, t in enumerate(ids):
+        best1[t], best2[t], best[t] = u1[j], u2[j], overlap[j]
     dims = part.dims
-    prod = embed_operator(u1, part.left, dims) @ embed_operator(u2, part.right, dims)
-    phase = np.trace(prod.conj().T @ u)
-    phase = phase / abs(phase) if abs(phase) > 0 else 1.0
-    distance = float(np.linalg.norm(u - phase * prod))
-    return ProductApproximation(
-        u1, u2, overlap, distance, iterations, converged, history
-    )
+    results = []
+    for i, u in enumerate(us):
+        a, b = best1[i], best2[i]
+        prod = embed_operator(a, part.left, dims) @ embed_operator(b, part.right, dims)
+        phase = np.trace(prod.conj().T @ u)
+        phase = phase / abs(phase) if abs(phase) > 0 else 1.0
+        distance = float(np.linalg.norm(u - phase * prod))
+        results.append(
+            ProductApproximation(
+                a, b, best[i], distance, iterations[i], converged[i], history[i]
+            )
+        )
+    return results
 
 
 @dataclass

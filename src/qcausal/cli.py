@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .causality import (
     is_causal_unitary,
-    nearest_product_unitary,
+    nearest_product_unitaries,
     operator_schmidt_values,
     perturbation_probe,
     semicausal_defect,
@@ -378,6 +378,12 @@ def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     dims = SystemDims(p["dims"])
     n_samples, tol, sampler = p["n_samples"], p["tol"], p["sampler"]
     offset = p["stream_offset"]
+    if offset + n_samples > 2**64:
+        # sample i draws from the 64-bit stream offset + i
+        raise ConfigError(
+            f"'stream_offset' + 'n_samples' must be at most 2**64, "
+            f"got {offset} + {n_samples}"
+        )
     auto_expect = "no-hits" if sampler == "global" else "all-hits"
     expect = p["expect"] if "expect" in p else auto_expect
     stats = measure_zero_experiment(
@@ -421,18 +427,19 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     dims = SystemDims(p["dims"])
     part = Bipartition.split(dims, p["left_sites"])
     rng = RngStream(cfg.seed).generator()
-    targets = []
     if "n_samples" in p:
-        for i in range(p["n_samples"]):
-            targets.append((f"haar-{i}", haar_unitary(dims.total, rng)))
+        us = np.empty((p["n_samples"], dims.total, dims.total), dtype=complex)
+        for i in range(len(us)):
+            us[i] = haar_unitary(dims.total, rng)
+        labels = [f"haar-{i}" for i in range(len(us))]
     else:
         channel = _channel_from(p, dims, rng)
         if channel.nkraus != 1:
             raise ConfigError("nearest-product needs a unitary input")
-        targets.append(("input", channel.kraus[0]))
+        us, labels = channel.kraus, ["input"]
+    found = nearest_product_unitaries(us, part, tol=p["tol"], max_iter=p["max_iter"])
     rows = []
-    for label, u in targets:
-        res = nearest_product_unitary(u, part, tol=p["tol"], max_iter=p["max_iter"])
+    for label, res in zip(labels, found):
         row = {
             "label": label,
             "overlap": res.overlap,
@@ -440,7 +447,7 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
             "iterations": res.iterations,
             "converged": res.converged,
         }
-        if len(targets) == 1:
+        if len(found) == 1:
             row["u1"] = to_re_im(res.u1)
             row["u2"] = to_re_im(res.u2)
         rows.append(row)

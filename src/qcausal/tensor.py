@@ -216,15 +216,19 @@ def realign(op, part: Bipartition) -> np.ndarray:
     ``R[(i, i'), (j, j')]``.  A product operator ``A (x) B`` realigns to the
     rank-one matrix ``vec(A) vec(B)^T``, so the singular values of ``R`` are
     the operator Schmidt coefficients of ``op`` across the bipartition.
+    Leading axes of a ``(..., D, D)`` stack are kept.
     """
     op = np.asarray(op, dtype=complex)
     _check_square(op, part.dims)
     n = part.dims.nsites
+    lead = op.shape[:-2]
+    k = len(lead)
     # Legs (i, j, i', j') -> (i, i', j, j'), left block first.
-    perm = [*part.left, *(n + s for s in part.left)]
-    perm += [*part.right, *(n + s for s in part.right)]
-    shaped = op.reshape(part.dims.dims * 2).transpose(perm)
-    return shaped.reshape(part.left_dim**2, part.right_dim**2)
+    legs = [*part.left, *(n + s for s in part.left)]
+    legs += [*part.right, *(n + s for s in part.right)]
+    shaped = op.reshape(lead + part.dims.dims * 2)
+    shaped = shaped.transpose([*range(k), *(k + leg for leg in legs)])
+    return shaped.reshape(lead + (part.left_dim**2, part.right_dim**2))
 
 
 def polar_unitary(m) -> np.ndarray:
@@ -232,7 +236,7 @@ def polar_unitary(m) -> np.ndarray:
 
     Maximizes ``Re tr(U^+ m)`` over unitaries.  For singular ``m`` the SVD
     supplies unit factors on the null directions, so the result is always
-    unitary.
+    unitary.  Leading axes of a ``(..., d, d)`` stack are kept.
     """
     m = np.asarray(m, dtype=complex)
     w, _, vh = np.linalg.svd(m)

@@ -11,6 +11,7 @@ from qcausal.causality import (
     is_causal_unitary,
     is_local_channel,
     is_supported_on,
+    nearest_product_unitaries,
     nearest_product_unitary,
     operator_schmidt_values,
     perturbation_probe,
@@ -411,6 +412,16 @@ class TestOperatorSchmidt:
             np.testing.assert_allclose(np.sum(s**2), 6.0, atol=1e-10)
 
 
+    def test_stack_matches_each_element(self):
+        stream = RngStream(37)
+        part = Bipartition.split(SystemDims((2, 3, 2)), (0, 2))
+        us = np.array([haar_unitary(12, stream.substream(i)) for i in range(6)])
+        got = operator_schmidt_values(us.reshape(2, 3, 12, 12), part)
+        assert got.shape == (2, 3, 9)
+        for i, u in enumerate(us):
+            assert np.array_equal(got[divmod(i, 3)], operator_schmidt_values(u, part))
+
+
 class TestIsCausalUnitary:
     def test_products_pass_and_entanglers_fail(self):
         g = RngStream(31).generator()
@@ -493,6 +504,114 @@ class TestNearestProductUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             nearest_product_unitary(np.ones((4, 4)), QUBIT_PAIR)
+
+
+def _nearest_product_reference(u, part, tol=1e-12, max_iter=500):
+    """Frozen single-target loop that the stacked optimizer replaced."""
+    r = realign(u, part)
+    dl, dr = part.left_dim, part.right_dim
+    d = part.dims.total
+    w, _, vh = np.linalg.svd(r)
+    u1 = polar_unitary(w[:, 0].reshape(dl, dl))
+    u2 = polar_unitary(vh[0].conj().reshape(dr, dr))
+
+    def half_steps(u1, u2):
+        u1 = polar_unitary((r @ u2.conj().reshape(dr * dr)).reshape(dl, dl))
+        contracted = r.T @ u1.conj().reshape(dl * dl)
+        u2 = polar_unitary(contracted.reshape(dr, dr))
+        return u1, u2, float(np.abs(u2.conj().reshape(dr * dr) @ contracted))
+
+    overlap = float(
+        np.abs(u1.conj().reshape(dl * dl) @ r @ u2.conj().reshape(dr * dr))
+    )
+    history = [overlap]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        u1, u2, new_overlap = half_steps(u1, u2)
+        history.append(new_overlap)
+        if new_overlap - overlap < tol:
+            overlap = max(new_overlap, overlap)
+            converged = True
+            break
+        overlap = new_overlap
+    dims = part.dims
+    prod = embed_operator(u1, part.left, dims) @ embed_operator(u2, part.right, dims)
+    phase = np.trace(prod.conj().T @ u)
+    phase = phase / abs(phase) if abs(phase) > 0 else 1.0
+    distance = float(np.linalg.norm(u - phase * prod))
+    return ProductApproximation(
+        u1, u2, overlap, distance, iterations, converged, history
+    )
+
+
+def _basis_permutation(dims, f):
+    """Permutation unitary sending basis state ``|i_0 ... i_{n-1}>`` to ``|f(i)>``."""
+    d = int(np.prod(dims))
+    u = np.zeros((d, d), dtype=complex)
+    for col, i in enumerate(np.ndindex(*dims)):
+        u[np.ravel_multi_index(f(i), dims), col] = 1.0
+    return u
+
+
+def _mixed_targets(dims, seed):
+    """Haar, product, CNOT-like and (for equal first two sites) swap targets."""
+    stream = RngStream(seed)
+    sd = SystemDims(dims)
+    us = [haar_unitary(sd.total, stream.substream(i)) for i in range(4)]
+    us += [haar_local_unitary(sd, stream.substream(10 + i)) for i in range(2)]
+    # the controlled shift |a, b> -> |a, b + a> is CNOT on two qubits
+    shift = _basis_permutation(dims, lambda i: (i[0], (i[1] + i[0]) % dims[1], *i[2:]))
+    us.append(shift)
+    if dims[0] == dims[1]:
+        us.append(_basis_permutation(dims, lambda i: (i[1], i[0], *i[2:])))
+    return np.array(us)
+
+
+_STACK_GRID = [
+    ((2, 2), (0,)),
+    ((2, 3), (0,)),
+    ((3, 3), (0,)),
+    ((2, 4), (0,)),
+    ((4, 4), (0,)),
+    ((2, 2, 2), (0,)),
+    ((2, 2, 2), (0, 2)),
+]
+
+
+class TestStackedNearestProduct:
+    @pytest.mark.parametrize("dims,left", _STACK_GRID)
+    @pytest.mark.parametrize("max_iter", [500, 3])
+    def test_matches_single_target_reference(self, dims, left, max_iter):
+        part = Bipartition.split(SystemDims(dims), left)
+        us = _mixed_targets(dims, seed=40 + len(dims) * 10 + sum(dims))
+        got = nearest_product_unitaries(us, part, max_iter=max_iter)
+        assert len(got) == len(us)
+        for u, res in zip(us, got):
+            ref = _nearest_product_reference(u, part, max_iter=max_iter)
+            assert np.array_equal(res.u1, ref.u1)
+            assert np.array_equal(res.u2, ref.u2)
+            assert res.overlap == ref.overlap
+            assert res.distance == ref.distance
+            assert res.iterations == ref.iterations
+            assert res.converged == ref.converged
+            assert res.overlap_history == ref.overlap_history
+        # targets leave the stack at different sweeps
+        if max_iter == 3:
+            assert {res.converged for res in got} == {True, False}
+        else:
+            assert all(res.converged for res in got)
+            assert len({res.iterations for res in got}) > 2
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            nearest_product_unitaries(np.zeros((0, 4, 4)), QUBIT_PAIR)
+
+    def test_rejects_one_non_unitary_member(self):
+        us = _mixed_targets((2, 2), seed=42)
+        us[3] = np.diag([1.0, 1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="unitary"):
+            nearest_product_unitaries(us, QUBIT_PAIR)
 
 
 class TestPerturbationProbe:

@@ -221,6 +221,12 @@ class TestExitCodes:
             # each of these exited 2
             ("check-causal", {"n_scenarios": -3}, "n_scenarios"),
             ("nearest-product", {"max_iter": 0}, "max_iter"),
+            # exited 1 only at the overflowing draw, without naming the field
+            (
+                "sample-haar",
+                {"stream_offset": 2**64 - 2, "n_samples": 3},
+                "stream_offset",
+            ),
         ],
         ids=[
             "haar-one-site",
@@ -246,6 +252,7 @@ class TestExitCodes:
             "unknown-causal-param",
             "negative-count",
             "zero-max-iter",
+            "stream-past-2-64",
         ],
     )
     def test_bad_config_is_one(self, tmp_path, capsys, experiment, change, field):

@@ -219,15 +219,25 @@ class TestReferenceForms:
 
     @pytest.mark.parametrize("dims", _REFERENCE_DIMS)
     def test_realign_matches_two_stage_form(self, rng, dims):
+        # a (2, 3) stack realigns each element as the frozen form does alone
         dims = SystemDims(dims)
         d = dims.total
-        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for k in range(1, dims.nsites):
-            for left in itertools.combinations(range(dims.nsites), k):
-                part = Bipartition.split(dims, left)
-                got = realign(op, part)
-                assert got.flags.c_contiguous
-                assert np.array_equal(got, _realign_two_stage_reference(op, part))
+        for lead in [(), (2, 3)]:
+            op = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(
+                lead + (d, d)
+            )
+            for k in range(1, dims.nsites):
+                for left in itertools.combinations(range(dims.nsites), k):
+                    part = Bipartition.split(dims, left)
+                    got = realign(op, part)
+                    assert got.flags.c_contiguous
+                    assert got.shape == lead + (
+                        part.left_dim**2,
+                        part.right_dim**2,
+                    )
+                    for idx in np.ndindex(lead):
+                        ref = _realign_two_stage_reference(op[idx], part)
+                        assert np.array_equal(got[idx], ref)
 
     @pytest.mark.parametrize("dims", _REFERENCE_DIMS)
     def test_embed_is_adjoint_of_partial_trace(self, rng, dims):
@@ -302,6 +312,13 @@ class TestPolarUnitary:
         m[0, 0] = 2.0
         assert is_unitary(polar_unitary(m), 1e-12)
         assert is_unitary(polar_unitary(np.zeros((2, 2))), 1e-12)
+
+    def test_stack_matches_each_element(self, rng):
+        m = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        got = polar_unitary(m)
+        assert got.shape == m.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], polar_unitary(m[idx]))
 
     def test_maximizes_real_trace_overlap(self, rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
