@@ -15,6 +15,9 @@ Why the table is exact outside the light cone: each entry is computed from
 its two spatial neighbours one step back and itself two steps back, so an
 entry that no kick can reach is built only from exact zeros, and floating-
 point arithmetic on zeros yields exact zeros.
+
+The recurrence is causal in time, so a table of ``k`` steps is an exact
+prefix of any longer one: callers ask for only the rows they read.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ def impulse_response(n_sites: int, n_steps: int, mass: float) -> np.ndarray:
         g[1, 0] = 1.0
     denom = 1.0 + 0.5 * mass * mass
     for t in range(2, n_steps):
-        prev = g[t - 1]
-        g[t] = (np.roll(prev, 1) + np.roll(prev, -1)) / denom - g[t - 2]
+        # (left + right) / denom - g[t-2] in place: the interior as one slice
+        # sum, then the two sites that wrap around the circle
+        prev, row = g[t - 1], g[t]
+        np.add(prev[:-2], prev[2:], out=row[1:-1])
+        row[0] = prev[-1] + prev[1]
+        row[-1] = prev[-2] + prev[0]
+        row /= denom
+        row -= g[t - 2]
     return g

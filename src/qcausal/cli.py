@@ -52,6 +52,7 @@ from .lattice import (
     sorkin_chain,
 )
 from .sampling import (
+    SAMPLE_BLOCK,
     RngStream,
     haar_unitary,
     measure_zero_experiment,
@@ -428,16 +429,21 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     part = Bipartition.split(dims, p["left_sites"])
     rng = RngStream(cfg.seed).generator()
     if "n_samples" in p:
-        us = np.empty((p["n_samples"], dims.total, dims.total), dtype=complex)
-        for i in range(len(us)):
-            us[i] = haar_unitary(dims.total, rng)
-        labels = [f"haar-{i}" for i in range(len(us))]
+        d, n = dims.total, p["n_samples"]
+        # drawn in order and optimized a block at a time, to bound memory
+        blocks = (
+            np.array([haar_unitary(d, rng) for _ in range(min(SAMPLE_BLOCK, n - i))])
+            for i in range(0, n, SAMPLE_BLOCK)
+        )
+        labels = [f"haar-{i}" for i in range(n)]
     else:
         channel = _channel_from(p, dims, rng)
         if channel.nkraus != 1:
             raise ConfigError("nearest-product needs a unitary input")
-        us, labels = channel.kraus, ["input"]
-    found = nearest_product_unitaries(us, part, tol=p["tol"], max_iter=p["max_iter"])
+        blocks, labels = [channel.kraus], ["input"]
+    found = []
+    for us in blocks:
+        found += nearest_product_unitaries(us, part, tol=p["tol"], max_iter=p["max_iter"])
     rows = []
     for label, res in zip(labels, found):
         row = {
@@ -691,6 +697,10 @@ def main(argv=None) -> int:
         report, code = run(cfg, out_dir, args.verbose)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a lattice table too large to allocate
+        reason = str(exc) or "allocation failed"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return 1
     status = "PASS" if code == 0 else "FAIL"
     print(f"{args.experiment}: {status}")

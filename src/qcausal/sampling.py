@@ -34,6 +34,10 @@ from .tensor import (
 #: Number of histogram bins for second Schmidt values in the experiment record.
 HISTOGRAM_BINS = 40
 
+#: Samples drawn and optimized together.  It bounds a run's memory at any
+#: sample count; each sample's results do not depend on it.
+SAMPLE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -172,8 +176,9 @@ def measure_zero_experiment(
     Sample ``i`` uses random stream ``rng.substream(i)``, so any prefix or
     subset of samples is reproducible in isolation.  Records per sample: the
     worst-bipartition second operator Schmidt value and the nearest-product
-    distance at that worst bipartition, found by one stacked optimizer run
-    per bipartition over the samples whose worst bipartition it is.
+    distance at that worst bipartition.  Samples are drawn in blocks of
+    :data:`SAMPLE_BLOCK`; each block runs one stacked optimizer per
+    bipartition over its samples whose worst bipartition it is.
     """
     if sampler not in ("global", "local"):
         raise ValueError("sampler must be 'global' or 'local'")
@@ -182,29 +187,31 @@ def measure_zero_experiment(
     if dims.nsites < 2:
         raise ValueError("the product test needs at least two sites")
     parts = all_bipartitions(dims)
-    us = np.empty((n_samples, dims.total, dims.total), dtype=complex)
     seconds = np.empty(n_samples)
-    worst_part = np.zeros(n_samples, dtype=int)  # index into parts
-    for i in range(n_samples):
-        gen = rng.substream(i).generator()
-        if sampler == "global":
-            us[i] = haar_unitary(dims.total, gen)
-        else:
-            us[i] = haar_local_unitary(dims, gen)
-        worst = -1.0
-        for k, part in enumerate(parts):
-            second = float(operator_schmidt_values(us[i], part)[1])
-            if second > worst:
-                worst, worst_part[i] = second, k
-        seconds[i] = worst
     distances = np.empty(n_samples)
-    for k, part in enumerate(parts):
-        group = np.flatnonzero(worst_part == k)
-        if group.size:
-            # one group of all samples needs no copy of the stack
-            members = us if group.size == n_samples else us[group]
-            found = nearest_product_unitaries(members, part)
-            distances[group] = [res.distance for res in found]
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        n = min(SAMPLE_BLOCK, n_samples - start)
+        us = np.empty((n, dims.total, dims.total), dtype=complex)
+        worst_part = np.zeros(n, dtype=int)  # index into parts
+        for j in range(n):
+            gen = rng.substream(start + j).generator()
+            if sampler == "global":
+                us[j] = haar_unitary(dims.total, gen)
+            else:
+                us[j] = haar_local_unitary(dims, gen)
+            worst = -1.0
+            for k, part in enumerate(parts):
+                second = float(operator_schmidt_values(us[j], part)[1])
+                if second > worst:
+                    worst, worst_part[j] = second, k
+            seconds[start + j] = worst
+        for k, part in enumerate(parts):
+            group = np.flatnonzero(worst_part == k)
+            if group.size:
+                # one group of the whole block needs no copy of the stack
+                members = us if group.size == n else us[group]
+                found = nearest_product_unitaries(members, part)
+                distances[start + group] = [res.distance for res in found]
     records = [
         {
             "sample_id": i,

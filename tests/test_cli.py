@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcausal import cli, lattice
 from qcausal.cli import (
     EXPERIMENTS,
     REQUIRED,
@@ -271,6 +272,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--out-dir" in err
 
+    def test_out_of_memory_is_one(self, tmp_path, capsys, monkeypatch):
+        # the kernel raises as numpy does for a table too large to allocate
+        calls = []
+
+        def no_memory(n_sites, n_steps, mass):
+            calls.append((n_sites, n_steps, mass))
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(lattice, "impulse_response", no_memory)
+        lattice._base_table.cache_clear()
+        cfg = _write(tmp_path, "c.json", _TINY_BASE["lattice-sorkin"])
+        code = main(["lattice-sorkin", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert calls and code == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
     def test_failed_expectation_is_two(self, tmp_path, capsys):
         # a global Haar draw essentially never lands on a product unitary
         cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=5, expect="all-hits"))
@@ -413,6 +430,22 @@ class TestOtherRunners:
         assert [r["label"] for r in res["rows"]] == [f"haar-{i}" for i in range(4)]
         assert all(r["converged"] for r in res["rows"])
         assert all("u1" not in r for r in res["rows"])
+
+    def test_nearest_product_blocks_do_not_change_rows(self, tmp_path, monkeypatch):
+        cfg = _write(
+            tmp_path,
+            "c.json",
+            {"experiment": "nearest-product", "seed": 9, "dims": [2, 3], "n_samples": 7},
+        )
+
+        def rows():
+            assert main(["nearest-product", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / "nearest-product-report.json").read_text())
+            return report["results"]["rows"]
+
+        whole = rows()
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 3)
+        assert rows() == whole
 
     def test_nearest_product_explicit_unitary(self, tmp_path):
         cfg = _write(

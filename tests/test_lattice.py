@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qcausal import _kernels
 from qcausal.lattice import (
+    _any_reaches,
     AffineField,
     BuildOptions,
     LatticeSpec,
@@ -37,6 +40,44 @@ def _naive_impulse(n, steps, m):
                 1.0 + m * m / 2.0
             ) - out[t - 1, x]
     return out
+
+
+def _roll_impulse(n, steps, m):
+    """Frozen form of the kernel: one whole-row ``np.roll`` update per step."""
+    g = np.zeros((steps, n))
+    if steps > 1:
+        g[1, 0] = 1.0
+    denom = 1.0 + 0.5 * m * m
+    for t in range(2, steps):
+        prev = g[t - 1]
+        g[t] = (np.roll(prev, 1) + np.roll(prev, -1)) / denom - g[t - 2]
+    return g
+
+
+def _loop_pauli_jordan(lattice, f, g):
+    """Frozen form of ``pauli_jordan``: the pair loop over the full table."""
+    for tf, name in ((f, "f"), (g, "g")):
+        for p in tf.support:
+            if not lattice.in_window(p):
+                raise ValueError(f"support point {p} of {name} outside the window")
+    table = _roll_impulse(lattice.n_sites, lattice.n_steps, lattice.mass)
+    n = lattice.n_sites
+    total = 0.0
+    for (tp, xp), fv in f.values.items():
+        for (tq, xq), gv in g.values.items():
+            dt = tp - tq
+            if dt > 0:
+                total += fv * gv * table[dt, (xp - xq) % n]
+            elif dt < 0:
+                total -= fv * gv * table[-dt, (xq - xp) % n]
+    return total
+
+
+def _random_points(rng, lat, n):
+    return [
+        (int(rng.integers(0, lat.n_steps)), int(rng.integers(0, lat.n_sites)))
+        for _ in range(n)
+    ]
 
 
 class TestGeometry:
@@ -81,6 +122,22 @@ class TestGeometry:
         b = Region([(4, 10), (4, 11)])
         assert a.spacelike_separated(b, LAT)
         assert not a.spacelike_separated(Region([(4, 3)]), LAT)
+
+    def test_array_forms_match_pair_loops(self):
+        # small circles, so that many pairs are closest across the wrap
+        rng = np.random.default_rng(62)
+        verdicts = set()
+        for _ in range(300):
+            lat = LatticeSpec(int(rng.integers(3, 12)), int(rng.integers(2, 9)))
+            a = Region(_random_points(rng, lat, int(rng.integers(1, 5))))
+            b = Region(_random_points(rng, lat, int(rng.integers(1, 5))))
+            sep = a.spacelike_separated(b, lat)
+            assert type(sep) is bool
+            assert sep == all(spacelike(lat, p, q) for p in a.points for q in b.points)
+            hit = _any_reaches(lat, a.points, b.points)
+            assert hit == any(reaches(lat, p, q) for p in a.points for q in b.points)
+            verdicts.add((sep, hit))
+        assert verdicts == {(True, False), (False, True), (False, False)}
 
     def test_region_requires_points(self):
         with pytest.raises(ValueError, match="point"):
@@ -211,6 +268,16 @@ class TestPauliJordan:
     def test_rejects_support_outside_window(self):
         with pytest.raises(ValueError, match="window"):
             pauli_jordan(LAT, _delta(0, 0), _delta(20, 0))
+
+    def test_names_first_outside_point_in_sorted_order(self):
+        bad = TestFunction({(30, 0): 1.0, (3, 4): 1.0, (-1, 3): 1.0, (2, 24): 1.0})
+        for f, g, name in [(bad, _delta(0, 0), "f"), (_delta(0, 0), bad, "g")]:
+            with pytest.raises(ValueError) as got:
+                pauli_jordan(LAT, f, g)
+            with pytest.raises(ValueError) as want:
+                _loop_pauli_jordan(LAT, f, g)
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"support point (-1, 3) of {name} outside the window"
 
 
 class TestConjugation:
@@ -366,3 +433,69 @@ class TestKernelPaths:
     def test_dispatcher_matches_reference(self):
         got = _kernels.impulse_response(11, 8, 0.9)
         assert np.array_equal(got, _naive_impulse(11, 8, 0.9))
+
+
+class TestReferenceForms:
+    @pytest.mark.parametrize(
+        "n, steps, m",
+        [(3, 1, 1.0), (3, 2, 1.0), (3, 7, 0.4), (9, 6, 0.0), (64, 16, 1.0),
+         (64, 16, 1.37), (512, 2048, 1.0)],
+    )
+    def test_kernel_matches_roll_form(self, n, steps, m):
+        got = _kernels.impulse_response(n, steps, m)
+        want = _roll_impulse(n, steps, m)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n, m", [(3, 1.0), (11, 0.0), (64, 0.73)])
+    def test_short_table_is_prefix(self, n, m):
+        full = _kernels.impulse_response(n, 40, m)
+        for k in (1, 2, 3, 7, 39, 40):
+            short = _kernels.impulse_response(n, k, m)
+            assert np.array_equal(short, full[:k])
+            assert np.array_equal(np.signbit(short), np.signbit(full[:k]))
+
+    @staticmethod
+    def _same(lat, f, g):
+        got, want = pauli_jordan(lat, f, g), _loop_pauli_jordan(lat, f, g)
+        assert type(got) is float
+        assert got == want and np.signbit(got) == np.signbit(want)
+        return got
+
+    def test_pauli_jordan_matches_pair_loop(self):
+        rng = np.random.default_rng(63)
+        lat = LatticeSpec(32, 20, 0.8)
+        signs = set()
+        for _ in range(60):
+            f, g = (
+                TestFunction(
+                    {p: float(rng.standard_normal())
+                     for p in _random_points(rng, lat, int(rng.integers(1, 40)))}
+                )
+                for _ in range(2)
+            )
+            signs.add(np.sign(self._same(lat, f, g)))
+        assert signs >= {-1.0, 1.0}
+
+    def test_pauli_jordan_matches_pair_loop_on_bumps(self):
+        lat = LatticeSpec(64, 16, 1.0)
+        k = Region([(t, x) for t in (6, 7) for x in range(20, 41)])
+        f, g, h = build_scenario(lat, k)
+        for a, b in itertools.permutations((f, g, h), 2):
+            self._same(lat, a, b)
+
+    def test_pauli_jordan_signed_zeros(self):
+        lat = LatticeSpec(16, 10, 1.0)
+        neg = TestFunction({(2, 3): -0.0, (5, 4): -0.0})
+        pos = TestFunction({(4, 3): 1.0, (7, 5): -2.0})
+        same_time = TestFunction({(2, 9): -1.0})
+        assert self._same(lat, neg, pos) == 0.0
+        assert self._same(lat, pos, neg) == 0.0
+        assert self._same(lat, neg, neg) == 0.0
+        assert self._same(lat, same_time, _delta(2, 3)) == 0.0
+        # a lone -0.0 term: the loop's 0.0 start makes the sum +0.0
+        assert self._same(lat, TestFunction({(3, 3): -0.0}), _delta(2, 3)) == 0.0
+        mixed = TestFunction({(2, 3): -0.0, (8, 3): 0.5, (1, 0): -1.5, (5, 12): 2.0})
+        self._same(lat, mixed, pos)
+        self._same(lat, pos, mixed)

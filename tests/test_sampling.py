@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcausal
+from qcausal import sampling
 from qcausal.causality import is_local_channel, is_supported_on, operator_schmidt_values
 from qcausal.sampling import (
     HISTOGRAM_BINS,
@@ -150,6 +158,44 @@ class TestMeasureZeroExperiment:
         stats = measure_zero_experiment(SystemDims((2, 3)), 5, 1e-6, RngStream(53))
         assert stats.count_product_within_tol == 0
         np.testing.assert_allclose(stats.histogram_edges[-1], np.sqrt(3.0))
+
+    # on (2, 2, 2) the samples of a block split over several bipartitions
+    @pytest.mark.parametrize(
+        "dims, sampler", [((2, 2), "global"), ((2, 2, 2), "global"), ((2, 3), "local")]
+    )
+    def test_blocks_do_not_change_any_result(self, monkeypatch, dims, sampler):
+        def run():
+            return measure_zero_experiment(
+                SystemDims(dims), 11, 1e-6, RngStream(54), sampler
+            )
+
+        whole = run()
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK", 3)
+        assert run() == whole
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # each run in a fresh interpreter, so that its peak RSS is its own
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from qcausal.sampling import RngStream, measure_zero_experiment
+            from qcausal.tensor import SystemDims
+            measure_zero_experiment(
+                SystemDims((4, 4)), int(sys.argv[1]), 1e-6, RngStream(55)
+            )
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qcausal.__file__).parents[1]))
+        peak_kib = {}
+        for n in (300, 3000):
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(n)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            peak_kib[n] = int(out.stdout)
+        assert peak_kib[3000] - peak_kib[300] <= 5 * 1024
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sampler"):
