@@ -35,6 +35,7 @@ from .tensor import (
     all_bipartitions,
     check_density,
     embed_operator,
+    gram_sum,
     hermitian_basis,
     hermitian_vector,
     is_hermitian,
@@ -72,11 +73,11 @@ def is_local_channel(
     fixes ``B^+ B``, so ``sum_i [B, K_i]^+ [B, K_i] = 0`` (multiplicative
     domain, Choi 1974): every ``K_i`` lies in the algebra on ``sites``; the
     converse is plain.  The Gram sum is the same for every Kraus family of
-    ``c`` and, like ``c(B) - B``, linear in a mixing weight.
+    ``c`` and, like ``c(B) - B``, linear in a mixing weight.  A stack of
+    channels is local when every member is.
     """
     sites = tuple(sorted(int(s) for s in sites))
-    off = _off_block(c.kraus, sites, c.dims)
-    gram = np.einsum("kij,kil->jl", off.conj(), off)
+    gram = gram_sum(_off_block(c.kraus, sites, c.dims))
     return bool(np.abs(gram).max() <= tol)
 
 
@@ -87,6 +88,10 @@ class SorkinScenario:
     ``partition.left`` is the sender site set M; the preparation must be
     local to it and the observable supported on the receiver sites
     ``partition.right``.  All constraints are validated at construction.
+
+    A stack of scenarios, tested against one intervention, has the same
+    leading axes on ``rho``, ``observable`` and the Kraus stack of ``prep``;
+    every member is validated.
     """
 
     rho: np.ndarray
@@ -99,11 +104,18 @@ class SorkinScenario:
     def __post_init__(self):
         dims = self.partition.dims
         self.rho = check_density(self.rho, self.tol)
-        if self.rho.shape != (dims.total, dims.total):
+        if self.rho.shape[-2:] != (dims.total, dims.total):
             raise ValueError("state dimension does not match the partition")
         if self.prep.dims != dims or self.intervention.dims != dims:
             raise ValueError("channel dims do not match the partition")
+        self.intervention.single()  # one channel, shared by every member
         self.observable = np.asarray(self.observable, dtype=complex)
+        lead = self.rho.shape[:-2]
+        if self.observable.shape[:-2] != lead or self.prep.kraus.shape[:-3] != lead:
+            raise ValueError(
+                f"state, preparation and observable stacks differ: "
+                f"{lead}, {self.prep.kraus.shape[:-3]}, {self.observable.shape[:-2]}"
+            )
         if not is_hermitian(self.observable, self.tol):
             raise ValueError("observable is not Hermitian")
         if not is_supported_on(self.observable, self.partition.right, dims, self.tol):
@@ -112,12 +124,17 @@ class SorkinScenario:
             raise ValueError("preparation is not local to the sender sites")
 
 
-def sorkin_violation(s: SorkinScenario) -> float:
-    """Preparation difference of the scenario; zero means no signalling seen."""
+def sorkin_violation(s: SorkinScenario):
+    """Preparation difference of the scenario; zero means no signalling seen.
+
+    A float for one scenario, an array of one difference per member for a
+    stack.
+    """
     evolved = s.intervention.apply(s.observable)
-    with_prep = np.trace(s.rho @ s.prep.apply(evolved))
-    without = np.trace(s.rho @ evolved)
-    return float((with_prep - without).real)
+    with_prep = np.trace(s.rho @ s.prep.apply(evolved), axis1=-2, axis2=-1)
+    without = np.trace(s.rho @ evolved, axis1=-2, axis2=-1)
+    diff = (with_prep - without).real
+    return float(diff) if diff.ndim == 0 else diff
 
 
 @dataclass
@@ -161,6 +178,7 @@ def semicausal_defect(
         raise ValueError("sender must be 'left' or 'right'")
     if c.dims != part.dims:
         raise ValueError("channel dims do not match the partition")
+    c.single()
     p = part if sender == "left" else part.swapped()
     s_sites, r_sites = p.left, p.right
     dims = part.dims

@@ -19,6 +19,7 @@ from .tensor import (
     SystemDims,
     embed_operator,
     from_re_im,
+    gram_sum,
     is_hermitian,
     is_unitary,
     tensor_product,
@@ -31,52 +32,71 @@ class KrausChannel:
 
     Parameters
     ----------
-    kraus : sequence of (D, D) complex matrices
+    kraus : sequence of (D, D) complex matrices, or a ``(..., k, D, D)`` stack
+        of such families: one channel per leading index
     dims : SystemDims with total dimension D
-    tol : absolute tolerance for the unitality check at construction
+    tol : absolute tolerance for the unitality check at construction, applied
+        to every channel of a stack
+
+    Methods that need one channel reject a stack.
     """
 
     def __init__(self, kraus, dims: SystemDims, tol: float = DEFAULT_TOL):
         self.dims = dims
         d = dims.total
-        ks = np.array([np.asarray(k, dtype=complex) for k in kraus])
-        if ks.ndim != 3 or ks.shape[1:] != (d, d):
+        ks = np.array(kraus, dtype=complex)
+        if ks.ndim < 3 or ks.shape[-2:] != (d, d):
             raise ValueError(
                 f"Kraus operators must have shape (k, {d}, {d}), got {ks.shape}"
             )
         self.kraus = ks
-        unit = np.einsum("kij,kil->jl", ks.conj(), ks)
-        err = np.abs(unit - np.eye(d)).max()
-        if not err <= tol:  # also catches NaN entries
+        with np.errstate(invalid="ignore", over="ignore"):
+            err = np.abs(gram_sum(ks) - np.eye(d)).max()
+        if not err <= tol:  # also catches NaN and inf entries
             raise ValueError(f"Kraus family is not unital: deviation {err:.3g}")
 
     @property
     def nkraus(self) -> int:
-        return self.kraus.shape[0]
+        return self.kraus.shape[-3]
+
+    def single(self) -> np.ndarray:
+        """The Kraus family of a channel that is not a stack; a stack raises."""
+        if self.kraus.ndim != 3:
+            raise ValueError(
+                f"need a single channel, got a stack of shape {self.kraus.shape[:-3]}"
+            )
+        return self.kraus
 
     def apply(self, op) -> np.ndarray:
         """Heisenberg action sum_i K_i^+ op K_i; ``op`` may be a (..., D, D) stack.
 
-        One Kraus operator at a time, so memory stays that of ``op``.
+        A stack of channels acts member by member on a stack of operators
+        with the same leading axes (numpy broadcasting).  One Kraus operator
+        at a time, so memory stays that of ``op``.
         """
         op = np.asarray(op, dtype=complex)
-        return sum(k.conj().T @ op @ k for k in self.kraus)
+        return sum(
+            k.conj().swapaxes(-1, -2) @ op @ k for k in np.moveaxis(self.kraus, -3, 0)
+        )
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         """Dual (state) action sum_i K_i rho K_i^+; for tests and cross-checks."""
+        ks = self.single()
         rho = np.asarray(rho, dtype=complex)
-        return np.einsum("kij,jl,kml->im", self.kraus, rho, self.kraus.conj())
+        return np.einsum("kij,jl,kml->im", ks, rho, ks.conj())
 
     def to_json(self) -> dict:
         """Wire format: dims plus each Kraus operator as rows of [re, im] pairs."""
-        return {"dims": list(self.dims.dims), "kraus": to_re_im(self.kraus)}
+        return {"dims": list(self.dims.dims), "kraus": to_re_im(self.single())}
 
     @classmethod
     def from_json(cls, data: dict) -> "KrausChannel":
         """Inverse of :meth:`to_json`; malformed input raises ``ValueError``."""
         if not isinstance(data, dict) or not {"dims", "kraus"} <= data.keys():
             raise ValueError("a channel must be an object with 'dims' and 'kraus'")
-        return cls(from_re_im(data["kraus"]), SystemDims(data["dims"]))
+        c = cls(from_re_im(data["kraus"]), SystemDims(data["dims"]))
+        c.single()  # the wire format holds one channel
+        return c
 
 
 class ChoiMatrix:
@@ -135,7 +155,7 @@ def kraus_to_choi(c: KrausChannel) -> ChoiMatrix:
     d = c.dims.total
     # For Phi(O) = sum_k K^+ O K one has J = sum_k v_k v_k^+ with
     # v_k = vec(conj(K_k)) in row-major order.
-    vecs = c.kraus.conj().reshape(c.nkraus, d * d)
+    vecs = c.single().conj().reshape(c.nkraus, d * d)
     entries = np.einsum("ki,kj->ij", vecs, vecs.conj())
     return ChoiMatrix(entries, c.dims)
 
@@ -166,7 +186,8 @@ def mix(a: KrausChannel, b: KrausChannel, p: float) -> KrausChannel:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     if a.dims != b.dims:
         raise ValueError("cannot mix channels with different dims")
-    kraus = [np.sqrt(p) * k for k in a.kraus] + [np.sqrt(1.0 - p) * k for k in b.kraus]
+    kraus = [np.sqrt(p) * k for k in a.single()]
+    kraus += [np.sqrt(1.0 - p) * k for k in b.single()]
     return KrausChannel(kraus, a.dims)
 
 

@@ -53,6 +53,7 @@ from .lattice import (
 )
 from .sampling import (
     SAMPLE_BLOCK,
+    SCENARIO_BLOCK,
     RngStream,
     haar_unitary,
     measure_zero_experiment,
@@ -339,9 +340,11 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
                     "strength": rep.strength,
                 }
             )
-            for _ in range(n_scenarios):
-                s = random_sorkin_scenario(oriented, channel, rng)
-                sorkin_max = max(sorkin_max, abs(sorkin_violation(s)))
+            # one stack per block, drawn in the order of single draws
+            for start in range(0, n_scenarios, SCENARIO_BLOCK):
+                n = min(SCENARIO_BLOCK, n_scenarios - start)
+                s = random_sorkin_scenario(oriented, channel, rng, n=n)
+                sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s)).max()))
         flags = [per_dir["left"] > tol, per_dir["right"] > tol]
         if flags[0] != flags[1]:
             one_way.append({"left": list(part.left), "right": list(part.right)})

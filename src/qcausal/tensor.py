@@ -231,6 +231,13 @@ def realign(op, part: Bipartition) -> np.ndarray:
     return shaped.reshape(lead + (part.left_dim**2, part.right_dim**2))
 
 
+def gram_sum(ks) -> np.ndarray:
+    """``sum_i K_i^+ K_i`` over the ``k`` axis of a ``(..., k, d, d)`` stack,
+    as one matmul."""
+    flat = ks.reshape(ks.shape[:-3] + (-1, ks.shape[-1]))
+    return flat.conj().swapaxes(-1, -2) @ flat
+
+
 def polar_unitary(m) -> np.ndarray:
     """Closest unitary to ``m``: the unitary factor ``W V^+`` of the SVD.
 
@@ -304,19 +311,26 @@ def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
+    """True if ``op``, or every matrix of a ``(..., d, d)`` stack, is Hermitian."""
     op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+    if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
         return False
-    return bool(np.abs(op - op.conj().T).max() <= tol)
+    return bool(np.abs(op - op.conj().swapaxes(-1, -2)).max() <= tol)
 
 
 def check_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a density matrix (Hermitian, positive, unit trace); return it."""
+    """Validate a density matrix (Hermitian, positive, unit trace); return it.
+
+    Every matrix of a ``(..., D, D)`` stack is checked; an error names the
+    first bad trace or the lowest eigenvalue of the stack.
+    """
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho, tol):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError(f"density matrix has trace {np.trace(rho):.6g}, not 1")
+    traces = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(traces.real - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"density matrix has trace {traces[bad][0]:.6g}, not 1")
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3g}")

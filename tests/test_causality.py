@@ -19,6 +19,7 @@ from qcausal.causality import (
     sorkin_violation,
 )
 from qcausal.channels import (
+    KrausChannel,
     cnot_channel,
     classical_one_way_channel,
     depolarizing_channel,
@@ -210,6 +211,65 @@ class TestScenarioValidation:
         _, prep = self._parts()
         with pytest.raises(ValueError):
             SorkinScenario(np.eye(4), prep, cnot_channel(), np.kron(I2, Z), QUBIT_PAIR)
+
+
+class TestStackedScenarioValidation:
+    """Stacks of four scenarios in which only member 2 is bad."""
+
+    def _stacks(self):
+        rho = np.outer(_ket(0, 0), _ket(0, 0))
+        local = embed_local(from_unitary(X, SystemDims((2,))), (0,), SystemDims((2, 2)))
+        kraus = np.array([local.kraus] * 4)
+        return np.array([rho] * 4), kraus, np.array([np.kron(I2, Z)] * 4)
+
+    def _scenario(self, rho, kraus, obs):
+        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
+        return SorkinScenario(rho, prep, cnot_channel(), obs, QUBIT_PAIR)
+
+    def test_good_stack_gives_each_violation(self):
+        got = sorkin_violation(self._scenario(*self._stacks()))
+        assert got.shape == (4,)
+        np.testing.assert_allclose(got, -2.0, atol=1e-14)
+
+    def test_rejects_nonlocal_prep(self):
+        rho, kraus, obs = self._stacks()
+        kraus[2] = cnot_channel().kraus
+        msg = "preparation is not local to the sender sites"
+        with pytest.raises(ValueError, match=msg):
+            self._scenario(rho, kraus, obs)
+
+    def test_rejects_observable_on_sender(self):
+        rho, kraus, obs = self._stacks()
+        obs[2] = np.kron(Z, I2)
+        msg = "observable is not supported on the receiver sites"
+        with pytest.raises(ValueError, match=msg):
+            self._scenario(rho, kraus, obs)
+
+    def test_rejects_non_hermitian_observable(self):
+        rho, kraus, obs = self._stacks()
+        obs[2] = np.kron(I2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="observable is not Hermitian"):
+            self._scenario(rho, kraus, obs)
+
+    def test_rejects_state_with_wrong_trace(self):
+        rho, kraus, obs = self._stacks()
+        rho[2] = 2 * rho[2]
+        with pytest.raises(ValueError, match="density matrix has trace 2\\+0j, not 1"):
+            self._scenario(rho, kraus, obs)
+
+    def test_rejects_stacks_of_different_lengths(self):
+        rho, kraus, obs = self._stacks()
+        with pytest.raises(ValueError, match="stacks differ"):
+            self._scenario(rho, kraus, obs[:3])
+        with pytest.raises(ValueError, match="stacks differ"):
+            self._scenario(rho, kraus[:3], obs)
+
+    def test_rejects_a_stacked_intervention(self):
+        rho, kraus, obs = self._stacks()
+        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
+        stacked = KrausChannel([cnot_channel().kraus] * 4, QUBIT_PAIR.dims)
+        with pytest.raises(ValueError, match="single channel"):
+            SorkinScenario(rho, prep, stacked, obs, QUBIT_PAIR)
 
 
 class TestSorkinViolation:

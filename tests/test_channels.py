@@ -52,6 +52,37 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="shape"):
             KrausChannel([np.eye(3)], SystemDims((2,)))
 
+    def test_stack_checks_every_member(self):
+        stack = np.array([[np.eye(2)], [X], [Z]], dtype=complex)  # (3, 1, 2, 2)
+        c = KrausChannel(stack, SystemDims((2,)))
+        assert c.nkraus == 1
+        stack[1, 0] = 0.5 * np.eye(2)
+        with pytest.raises(ValueError, match="not unital: deviation 0.75"):
+            KrausChannel(stack, SystemDims((2,)))
+
+    def test_stack_applies_member_by_member(self):
+        dims = SystemDims((2, 2))
+        members = [random_kraus_channel(dims, 3, RngStream(90 + i)) for i in range(4)]
+        stack = KrausChannel([m.kraus for m in members], dims)
+        ops = np.array([_rand_op(np.random.default_rng(i), 4) for i in range(4)])
+        got = stack.apply(ops)
+        for m, op, g in zip(members, ops, got):
+            assert np.array_equal(g, m.apply(op))
+
+    def test_single_channel_methods_reject_a_stack(self):
+        dims = SystemDims((2, 2))
+        stack = KrausChannel([cnot_channel().kraus] * 2, dims)
+        part = Bipartition.split(dims, (0,))
+        for call in (
+            stack.to_json,
+            lambda: stack.apply_schrodinger(np.eye(4)),
+            lambda: kraus_to_choi(stack),
+            lambda: mix(stack, cnot_channel(), 0.5),
+            lambda: semicausal_defect(stack, part),
+        ):
+            with pytest.raises(ValueError, match="single channel"):
+                call()
+
     def test_apply_matches_naive_sum(self, rng):
         c = random_kraus_channel(SystemDims((2, 2)), 3, RngStream(5))
         op = _rand_op(rng, 4)

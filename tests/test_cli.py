@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import re
 import subprocess
+import sys
+import textwrap
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +21,14 @@ from qcausal.cli import (
     emit_csv,
     main,
 )
-from qcausal.sampling import RngStream, measure_zero_experiment
-from qcausal.tensor import SystemDims
+from qcausal.sampling import (
+    RngStream,
+    haar_local_unitary,
+    haar_unitary,
+    measure_zero_experiment,
+    random_kraus_channel,
+)
+from qcausal.tensor import SystemDims, to_re_im
 
 
 def _write(tmp_path, name, data):
@@ -157,9 +167,11 @@ class TestExitCodes:
             {"dims": 4, "kraus": [[[[1, 0]]]]},
             {"dims": [2, 2], "kraus": [[[["1", 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
             {"dims": [2, 2], "kraus": [[[[float("nan"), 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
+            {"dims": [2, 2], "kraus": [[_CNOT], [_CNOT]]},
         ],
         ids=[
             "no-dims", "flat-kraus", "not-an-object", "scalar-dims", "string-entry", "nan-entry",
+            "stacked-kraus",
         ],
     )
     def test_malformed_channel_is_one(self, tmp_path, capsys, channel):
@@ -411,6 +423,78 @@ class TestCheckCausal:
         assert res["product_unitary"] is True
         assert res["sorkin_max"] < 1e-10
         assert res["one_way_directions"] == []
+
+
+    def test_peak_memory_does_not_grow_with_scenarios(self, tmp_path):
+        # each run in a fresh interpreter, so that its peak RSS is its own
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from pathlib import Path
+            from qcausal import cli
+            cfg = cli.ExperimentConfig.from_dict({
+                "experiment": "check-causal", "seed": 5, "dims": [2, 2, 2],
+                "n_scenarios": int(sys.argv[1]), "zoo": {"name": "local-random"},
+            })
+            report, code = cli.run(cfg, Path(sys.argv[2]))
+            assert code == 0 and report["results"]["causal"]
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        peak_kib = {}
+        for n in (200, 2000):
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(n), str(tmp_path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            peak_kib[n] = int(out.stdout)
+        assert peak_kib[2000] - peak_kib[200] <= 5 * 1024
+
+
+class TestDecidersAgree:
+    """Defect, Sorkin and (for unitaries) Schmidt deciders give one verdict."""
+
+    @staticmethod
+    def _input(kind, dims, rng):
+        dims = SystemDims(dims)
+        if kind == "haar":
+            return {"unitary": to_re_im(haar_unitary(dims.total, rng))}, False
+        if kind == "product":
+            return {"unitary": to_re_im(haar_local_unitary(dims, rng))}, True
+        if kind == "kraus":
+            return {"channel": random_kraus_channel(dims, 2, rng).to_json()}, False
+        if kind == "depolarizing":
+            return {"zoo": {"name": kind, "params": {"lam": 0.4}}}, True
+        return {"zoo": {"name": kind}}, False
+
+    @pytest.mark.parametrize(
+        "dims, kind",
+        [
+            (dims, kind)
+            for dims in ((2, 2, 2), (3, 3), (2, 4), (2, 3, 2))
+            for kind in ("haar", "product", "kraus", "depolarizing")
+        ]
+        + [((2, 2), "classical-one-way")],
+    )
+    def test_known_verdict_and_agreement(self, tmp_path, dims, kind):
+        rng = RngStream(zlib.crc32(f"{dims}{kind}".encode())).generator()
+        channel, causal = self._input(kind, dims, rng)
+        cfg = {
+            "experiment": "check-causal",
+            "seed": 31,
+            "dims": list(dims),
+            **channel,
+        }
+        report, code = cli.run(ExperimentConfig.from_dict(cfg), tmp_path)
+        res = report["results"]
+        assert code == 0
+        assert res["deciders_agree"] is True
+        assert res["causal"] is causal
+        assert (res["sorkin_max"] <= res["tol"]) is causal
+        if "unitary" in channel:
+            assert res["product_unitary"] is causal
 
 
 class TestOtherRunners:

@@ -22,8 +22,22 @@ from qcausal.sampling import (
     random_kraus_channel,
     random_sorkin_scenario,
 )
-from qcausal.channels import identity_channel
-from qcausal.tensor import Bipartition, SystemDims, all_bipartitions, is_unitary
+from qcausal import cli
+from qcausal.causality import sorkin_violation
+from qcausal.channels import (
+    KrausChannel,
+    depolarizing_channel,
+    embed_local,
+    from_unitary,
+    identity_channel,
+)
+from qcausal.tensor import (
+    Bipartition,
+    SystemDims,
+    all_bipartitions,
+    embed_operator,
+    is_unitary,
+)
 
 
 class TestRngStream:
@@ -106,6 +120,144 @@ class TestOtherSamplers:
         # the constructor validates; double-check the two locality facts
         assert is_local_channel(s.prep, part.left)
         assert is_supported_on(s.observable, part.right, part.dims)
+
+
+# Frozen single-draw forms of the samplers, as they were before scenarios
+# were drawn in stacks: the reference for the shared stacked formulas.
+
+
+def _frozen_ginibre(rng, n):
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def _frozen_unital(gs):
+    s = sum(g.conj().T @ g for g in gs)
+    evals, evecs = np.linalg.eigh(s)
+    s_isqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return [g @ s_isqrt for g in gs]
+
+
+def _frozen_density(rng, n):
+    g = _frozen_ginibre(rng, n)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _frozen_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
+def _frozen_scenario(part, rng, nkraus_prep=3):
+    """One scenario drawn as random_sorkin_scenario drew it one at a time:
+    sender Ginibres, then the state, then the receiver Hermitian.  Returns
+    (rho, prep, observable)."""
+    dims = part.dims
+    sender = SystemDims(tuple(dims.dims[s] for s in part.left))
+    gs = [_frozen_ginibre(rng, sender.total) for _ in range(nkraus_prep)]
+    prep = embed_local(KrausChannel(_frozen_unital(gs), sender), part.left, dims)
+    rho = _frozen_density(rng, dims.total)
+    obs = _frozen_hermitian(rng, dims.block_dim(part.right))
+    return rho, prep, embed_operator(obs, part.right, dims)
+
+
+def _frozen_violation(rho, prep, intervention, obs) -> float:
+    """sorkin_violation of one scenario, frozen with a loop over Kraus operators."""
+    evolved = sum(k.conj().T @ obs @ k for k in intervention.kraus)
+    prepared = sum(k.conj().T @ evolved @ k for k in prep.kraus)
+    return float((np.trace(rho @ prepared) - np.trace(rho @ evolved)).real)
+
+
+def _intervention(kind, dims, rng):
+    if kind == "haar":
+        return from_unitary(haar_unitary(dims.total, rng), dims)
+    if kind == "depolarizing":
+        return depolarizing_channel(dims, 0.37)
+    return random_kraus_channel(dims, 3, rng)
+
+
+class TestStackedScenarios:
+    """A stack of n scenarios is the n single draws, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["haar", "depolarizing", "kraus"])
+    @pytest.mark.parametrize(
+        "dims, left",
+        [
+            ((2, 2), (0,)),
+            ((2, 2), (1,)),
+            ((2, 3), (0,)),
+            ((2, 3), (1,)),
+            ((2, 2, 2), (0, 2)),
+            ((3, 3), (0,)),
+        ],
+    )
+    def test_violations_equal_the_loop(self, dims, left, kind):
+        dims = SystemDims(dims)
+        part = Bipartition.split(dims, left)
+        seed = [len(left), *dims.dims, len(kind)]
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        c = _intervention(kind, dims, a)
+        assert np.array_equal(_intervention(kind, dims, b).kraus, c.kraus)
+        want = []
+        for _ in range(9):
+            rho, prep, obs = _frozen_scenario(part, a)
+            want.append(_frozen_violation(rho, prep, c, obs))
+        want = np.array(want)
+        got = sorkin_violation(random_sorkin_scenario(part, c, b, n=9))
+        assert got.shape == (9,)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # both streams stop at the same place
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_single_draw_has_no_scenario_axis(self):
+        part = Bipartition.split(SystemDims((2, 3)), (1,))
+        c = identity_channel(part.dims)
+        one = random_sorkin_scenario(part, c, RngStream(60))
+        stack = random_sorkin_scenario(part, c, RngStream(60), n=1)
+        assert one.rho.shape == (6, 6) and stack.rho.shape == (1, 6, 6)
+        assert one.prep.kraus.shape == (3, 6, 6)
+        assert np.array_equal(stack.rho[0], one.rho)
+        assert np.array_equal(stack.observable[0], one.observable)
+        assert np.array_equal(stack.prep.kraus[0], one.prep.kraus)
+        assert type(sorkin_violation(one)) is float
+
+    def test_samplers_draw_as_before(self):
+        a, b = np.random.default_rng(61), np.random.default_rng(61)
+        kraus = _frozen_unital([_frozen_ginibre(a, 6) for _ in range(2)])
+        got = random_kraus_channel(SystemDims((2, 3)), 2, b).kraus
+        assert np.array_equal(got, kraus)
+        assert np.array_equal(random_density(5, b), _frozen_density(a, 5))
+        assert np.array_equal(random_hermitian(4, b), _frozen_hermitian(a, 4))
+        q, r = np.linalg.qr(_frozen_ginibre(a, 3))
+        diag = np.diagonal(r)
+        assert np.array_equal(haar_unitary(3, b), q * (diag / np.abs(diag)))
+
+    # blocks of 2 split each direction's 5 scenarios into three stacks
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_check_causal_sorkin_max_equals_the_loop(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(cli, "SCENARIO_BLOCK", block)
+        u = haar_unitary(8, RngStream(63))
+        cfg = {
+            "experiment": "check-causal",
+            "seed": 64,
+            "dims": [2, 2, 2],
+            "n_scenarios": 5,
+            "unitary": [[[z.real, z.imag] for z in row] for row in u],
+        }
+        report, code = cli.run(cli.ExperimentConfig.from_dict(cfg), tmp_path)
+        dims = SystemDims((2, 2, 2))
+        c = from_unitary(u, dims)
+        rng = RngStream(64).generator()
+        worst = 0.0
+        for part in all_bipartitions(dims):
+            for oriented in (part, part.swapped()):
+                for _ in range(5):
+                    rho, prep, obs = _frozen_scenario(oriented, rng)
+                    worst = max(worst, abs(_frozen_violation(rho, prep, c, obs)))
+        assert code == 0
+        assert report["results"]["sorkin_max"] == worst
 
 
 class TestMeasureZeroExperiment:

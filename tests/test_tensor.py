@@ -383,6 +383,14 @@ class TestSmallHelpers:
         assert not is_hermitian(X + 1j * np.eye(2))
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_is_hermitian_checks_every_member_of_a_stack(self):
+        stack = np.array([Y, Z, X, Y])
+        assert is_hermitian(stack)
+        stack[2] = X + 1j * np.eye(2)
+        assert not is_hermitian(stack)
+        assert not is_hermitian(np.zeros((3, 2, 4)))
+        assert not is_hermitian(np.zeros(4))
+
 
 class TestCheckDensity:
     def test_accepts_valid(self, rng):
@@ -403,3 +411,16 @@ class TestCheckDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             check_density(np.diag([1.5, -0.5]))
+
+    def test_stack_rejects_one_bad_member(self):
+        good = np.array([np.diag([0.25, 0.75])] * 4, dtype=complex)
+        assert np.array_equal(check_density(good), good)
+        for bad, match in (
+            (np.diag([1.0, 1.0]), "trace 2\\+0j, not 1"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue -0.5"),
+        ):
+            stack = good.copy()
+            stack[2] = bad
+            with pytest.raises(ValueError, match=match):
+                check_density(stack)
