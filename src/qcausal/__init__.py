@@ -80,7 +80,6 @@ from .tensor import (
     frobenius_inner,
     from_re_im,
     hermitian_basis,
-    hermitian_vector,
     is_hermitian,
     is_unitary,
     partial_trace,

@@ -37,7 +37,6 @@ from .tensor import (
     embed_operator,
     gram_sum,
     hermitian_basis,
-    hermitian_vector,
     is_hermitian,
     is_unitary,
     partial_trace,
@@ -169,30 +168,38 @@ def semicausal_defect(
 
     measures the failure of ``Phi(1 (x) O_R)`` to stay inside the receiver
     algebra.  The strength is its largest singular value from Frobenius norm
-    to Frobenius norm, computed real-linearly over a Hermitian orthonormal
-    receiver basis (legitimate because the map commutes with the adjoint);
-    the witness is the maximizing unit-norm Hermitian receiver observable.
-    Strength <= tol certifies no signalling sender -> receiver.
+    to Frobenius norm over the receiver matrix units ``E_rr'``: with each
+    Kraus operator's row legs in (sender, receiver) order the family is a
+    ``(k d_S, d_R D)`` matrix ``A``, and ``Phi(1 (x) E_rr')`` is the slice
+    ``[r, :, r', :]`` of ``A^+ A``.  The map commutes with the adjoint, so
+    the gains of the Hermitian parts of ``X = H1 + i H2`` add, and the
+    larger part of a top singular vector is the witness: a maximizing
+    unit-norm Hermitian receiver observable, signed so that its largest
+    :func:`hermitian_basis` coordinate is positive.  Strength <= tol
+    certifies no signalling sender -> receiver.
     """
     if sender not in ("left", "right"):
         raise ValueError("sender must be 'left' or 'right'")
     if c.dims != part.dims:
         raise ValueError("channel dims do not match the partition")
-    c.single()
+    ks = c.single()
     p = part if sender == "left" else part.swapped()
     s_sites, r_sites = p.left, p.right
     dims = part.dims
-    basis = hermitian_basis(dims.block_dim(r_sites))
-    images = c.apply(embed_operator(basis, r_sites, dims))
-    mat = hermitian_vector(_off_block(images, r_sites, dims)).T  # (D*D, d_R*d_R)
-    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
-    strength = float(svals[0])
-    v = vt[0]
+    n, d, d_r = dims.nsites, dims.total, dims.block_dim(r_sites)
+    legs = [1 + s for s in s_sites + r_sites]
+    a = ks.reshape(-1, *dims.dims, d).transpose(0, *legs, n + 1).reshape(-1, d_r * d)
+    images = (a.conj().T @ a).reshape(d_r, d, d_r, d).transpose(0, 2, 1, 3)
+    m = _off_block(images, r_sites, dims).reshape(d_r * d_r, d * d)
+    evals, evecs = np.linalg.eigh(m.conj() @ m.T)
+    strength = float(np.sqrt(abs(evals[-1])))  # a zero Gram may give -0.0
+    x = evecs[:, -1].reshape(d_r, d_r)
+    witness = max(((x + x.conj().T) / 2, (x - x.conj().T) / 2j), key=np.linalg.norm)
+    witness = witness / np.linalg.norm(witness)
     # fix the overall sign for reproducibility
-    lead = v[np.argmax(np.abs(v))]
-    if lead < 0:
-        v = -v
-    witness = np.tensordot(v, basis, axes=1)
+    coords = np.einsum("aji,ij->a", hermitian_basis(d_r), witness).real
+    if coords[np.argmax(np.abs(coords))] < 0:
+        witness = -witness
     return SignallingReport(
         direction=(s_sites, r_sites), strength=strength, witness=witness, tol=tol
     )

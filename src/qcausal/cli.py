@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .causality import (
-    is_causal_unitary,
     nearest_product_unitaries,
     operator_schmidt_values,
     perturbation_probe,
@@ -247,23 +246,6 @@ _CHANNEL = {
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
-
-
 def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
     if "unitary" in params:
         return from_unitary(from_re_im(params["unitary"]), dims)
@@ -366,7 +348,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     }
     verdicts = [defect_causal, sorkin_causal]
     if channel.nkraus == 1:
-        product_verdict = is_causal_unitary(channel.kraus[0], dims, tol)
+        product_verdict = all(v[1] <= tol for v in schmidt.values())
         results["schmidt_values_by_left_block"] = schmidt
         results["product_unitary"] = product_verdict
         verdicts.append(product_verdict)
@@ -622,7 +604,7 @@ EXPERIMENTS = {
     "perturb-ball": (_run_perturb_ball, (), {
         "dims": ([2, 2], _DIMS),
         "left_sites": ([0], _SITES),
-        "sender": ("left", _TEXT),
+        "sender": ("left", _choice("left", "right")),
         "epsilons": ([1e-1, 1e-2, 1e-3, 1e-4], _EPSILONS),
         "linearity_rtol": (1e-9, _TOL),
         "tol": (1e-10, _TOL),
@@ -655,7 +637,7 @@ def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False):
         "experiment": cfg.experiment,
         "tool_version": __version__,
         "config": cfg.raw,
-        "results": _jsonify(results),
+        "results": results,
         "passed": bool(passed),
         "wall_time_s": time.perf_counter() - start,
     }

@@ -278,20 +278,6 @@ def hermitian_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
-def hermitian_vector(op) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix, isometric for the Frobenius norm.
-
-    Stacks the diagonal with sqrt(2)-weighted real and imaginary parts of the
-    strict upper triangle, so ``norm(hermitian_vector(H)) == norm(H, 'fro')``
-    for Hermitian ``H``.  Leading axes of a ``(..., d, d)`` stack are kept.
-    """
-    op = np.asarray(op)
-    rows, cols = np.triu_indices(op.shape[-1], k=1)
-    upper = np.sqrt(2) * op[..., rows, cols]
-    diag = np.diagonal(op, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
 def frobenius_inner(a, b) -> complex:
     """Frobenius inner product tr(a^+ b), conjugate-linear in the first slot."""
     return complex(np.vdot(np.asarray(a), np.asarray(b)))

@@ -44,7 +44,6 @@ from qcausal.tensor import (
     all_bipartitions,
     embed_operator,
     hermitian_basis,
-    hermitian_vector,
     partial_trace,
     polar_unitary,
     realign,
@@ -103,7 +102,8 @@ def _defect_loop(c, part, sender):
     for b in basis:
         img = _apply_loop(c, embed_operator(b, p.right, dims))
         reduced = partial_trace(img, dims, p.left) / dims.block_dim(p.left)
-        cols.append(hermitian_vector(img - embed_operator(reduced, p.right, dims)))
+        leak = img - embed_operator(reduced, p.right, dims)
+        cols.append(np.concatenate([leak.real.ravel(), leak.imag.ravel()]))
     _, svals, vt = np.linalg.svd(np.array(cols).T)
     v = vt[0] if vt[0][np.argmax(np.abs(vt[0]))] >= 0 else -vt[0]
     return svals[0], np.tensordot(v, basis, axes=1)
@@ -391,17 +391,42 @@ class TestSemicausalDefect:
             assert semicausal_defect(c, QUBIT_PAIR, sender=sender).strength < 1e-12
 
     def test_witness_is_valid_and_achieves_strength(self):
-        c = cnot_channel()
-        rep = semicausal_defect(c, QUBIT_PAIR, sender="left")
-        w = rep.witness
-        np.testing.assert_allclose(w, w.conj().T, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(w), 1.0, atol=1e-12)
-        # feed the witness back through the leakage map by hand
-        dims = QUBIT_PAIR.dims
-        img = c.apply(embed_operator(w, (1,), dims))
-        red = img.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2) / 2.0
-        leak = img - embed_operator(red, (1,), dims)
-        np.testing.assert_allclose(np.linalg.norm(leak), rep.strength, atol=1e-10)
+        # swap and the one-way channel have degenerate top singular spaces
+        cases = [(cnot_channel(), "left")] + [
+            (c, sender)
+            for c in (swap_channel(3), classical_one_way_channel())
+            for sender in ("left", "right")
+        ]
+        for c, sender in cases:
+            part = Bipartition.split(c.dims, (0,))
+            rep = semicausal_defect(c, part, sender=sender)
+            w = rep.witness
+            np.testing.assert_allclose(w, w.conj().T, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.norm(w), 1.0, atol=1e-12)
+            # feed the witness back through the leakage map by hand
+            s_sites, r_sites = rep.direction
+            img = c.apply(embed_operator(w, r_sites, c.dims))
+            red = partial_trace(img, c.dims, s_sites) / c.dims.block_dim(s_sites)
+            leak = img - embed_operator(red, r_sites, c.dims)
+            np.testing.assert_allclose(np.linalg.norm(leak), rep.strength, atol=1e-10)
+
+    @pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi, 2.0])
+    def test_witness_ignores_eigenvector_phase(self, monkeypatch, phi):
+        # at some phase the Hermitian part of the eigenvector alone vanishes
+        c = random_kraus_channel(SystemDims((2, 3)), 3, RngStream(36).generator())
+        part = Bipartition.split(c.dims, (0,))
+        senders = ("left", "right")
+        expected = [semicausal_defect(c, part, sender=s).witness for s in senders]
+        eigh = np.linalg.eigh
+
+        def rotated(a):
+            evals, evecs = eigh(a)
+            return evals, evecs * np.exp(1j * phi)
+
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        for sender, w in zip(senders, expected):
+            rep = semicausal_defect(c, part, sender=sender)
+            np.testing.assert_allclose(rep.witness, w, atol=1e-12)
 
     def test_defect_is_convex_in_the_channel(self):
         g = RngStream(29).generator()

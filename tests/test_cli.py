@@ -231,6 +231,8 @@ class TestExitCodes:
                 {"causal": {"name": "identity", "params": {"foo": 1}}},
                 "causal.params.foo",
             ),
+            # exited 1 without naming the field
+            ("perturb-ball", {"sender": "top"}, "sender"),
             # each of these exited 2
             ("check-causal", {"n_scenarios": -3}, "n_scenarios"),
             ("nearest-product", {"max_iter": 0}, "max_iter"),
@@ -263,6 +265,7 @@ class TestExitCodes:
             "unknown-zoo-param",
             "float-swap-d",
             "unknown-causal-param",
+            "bad-sender",
             "negative-count",
             "zero-max-iter",
             "stream-past-2-64",

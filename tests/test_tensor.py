@@ -11,7 +11,6 @@ from qcausal.tensor import (
     embed_operator,
     frobenius_inner,
     hermitian_basis,
-    hermitian_vector,
     is_hermitian,
     is_unitary,
     partial_trace,
@@ -351,16 +350,6 @@ class TestHermitianBasis:
 
 
 class TestSmallHelpers:
-    def test_hermitian_vector_isometry(self, rng):
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (h + h.conj().T) / 2
-        v = hermitian_vector(h)
-        assert v.shape == (16,)
-        np.testing.assert_allclose(np.linalg.norm(v), np.linalg.norm(h), rtol=1e-13)
-        stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-        per_element = [[hermitian_vector(op) for op in row] for row in stack]
-        np.testing.assert_array_equal(hermitian_vector(stack), per_element)
-
     def test_frobenius_inner(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
