@@ -26,7 +26,6 @@ from .causality import (
     sorkin_violation,
 )
 from .channels import (
-    ChoiMatrix,
     KrausChannel,
     choi_to_kraus,
     classical_one_way_channel,

@@ -143,26 +143,20 @@ class SignallingReport:
     direction: tuple[tuple[int, ...], tuple[int, ...]]  # (sender, receiver) sites
     strength: float
     witness: np.ndarray  # Hermitian, unit Frobenius norm, on the receiver factor
-    tol: float
 
     def to_json(self) -> dict:
         return {
             "direction": [list(self.direction[0]), list(self.direction[1])],
             "strength": float(self.strength),
             "witness": to_re_im(self.witness),
-            "tol": float(self.tol),
         }
 
 
-def semicausal_defect(
-    c: KrausChannel,
-    part: Bipartition,
-    sender: str = "left",
-    tol: float = DEFAULT_TOL,
-) -> SignallingReport:
+def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
     """How far the channel is from signalling-free in one direction.
 
-    For receiver observables ``O_R`` the map
+    The sender is ``part.left``; pass ``part.swapped()`` for the reverse
+    direction.  For receiver observables ``O_R`` the map
 
         O_R  |->  Phi(1 (x) O_R) - 1 (x) tr_S[Phi(1 (x) O_R)] / d_S
 
@@ -175,16 +169,13 @@ def semicausal_defect(
     the gains of the Hermitian parts of ``X = H1 + i H2`` add, and the
     larger part of a top singular vector is the witness: a maximizing
     unit-norm Hermitian receiver observable, signed so that its largest
-    :func:`hermitian_basis` coordinate is positive.  Strength <= tol
-    certifies no signalling sender -> receiver.
+    :func:`hermitian_basis` coordinate is positive.  A strength within a
+    caller's tolerance of zero certifies no signalling sender -> receiver.
     """
-    if sender not in ("left", "right"):
-        raise ValueError("sender must be 'left' or 'right'")
     if c.dims != part.dims:
         raise ValueError("channel dims do not match the partition")
     ks = c.single()
-    p = part if sender == "left" else part.swapped()
-    s_sites, r_sites = p.left, p.right
+    s_sites, r_sites = part.left, part.right
     dims = part.dims
     n, d, d_r = dims.nsites, dims.total, dims.block_dim(r_sites)
     legs = [1 + s for s in s_sites + r_sites]
@@ -201,7 +192,7 @@ def semicausal_defect(
     if coords[np.argmax(np.abs(coords))] < 0:
         witness = -witness
     return SignallingReport(
-        direction=(s_sites, r_sites), strength=strength, witness=witness, tol=tol
+        direction=(s_sites, r_sites), strength=strength, witness=witness
     )
 
 
@@ -364,37 +355,38 @@ def perturbation_probe(
     acausal: KrausChannel,
     epsilons,
     part: Bipartition,
-    sender: str = "left",
     tol: float = DEFAULT_TOL,
 ) -> list[PerturbationRow]:
     """Walk from a causal channel toward a signalling one and track the defect.
 
     For each epsilon the probe mixes ``epsilon * acausal + (1-epsilon) *
-    causal`` and records the semicausal defect in the tested direction along
-    with the trace-norm displacement of the Choi matrix from the causal
-    endpoint.  Both grow exactly linearly in epsilon (the defect map and the
-    Choi map are affine in the channel), which is the first-order content of
-    signalling arising at every scale under generic perturbations.
+    causal`` and records the semicausal defect from ``part.left`` to
+    ``part.right`` along with the trace-norm displacement of the Choi matrix
+    from the causal endpoint.  The causal endpoint's defect must be at most
+    ``tol`` and the acausal one's above it.  Both grow exactly linearly in
+    epsilon (the defect map and the Choi map are affine in the channel), which
+    is the first-order content of signalling arising at every scale under
+    generic perturbations.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("no epsilon values supplied")
     if any(not 0.0 <= e <= 1.0 for e in eps):
         raise ValueError("epsilon values must lie in [0, 1]")
-    base = semicausal_defect(causal, part, sender=sender, tol=tol)
+    base = semicausal_defect(causal, part)
     if base.strength > tol:
         raise ValueError(
             f"'causal' endpoint has defect {base.strength:.3g} > tol in the "
             "tested direction"
         )
-    probe = semicausal_defect(acausal, part, sender=sender, tol=tol)
+    probe = semicausal_defect(acausal, part)
     if probe.strength <= tol:
         raise ValueError("'acausal' endpoint shows no defect in the tested direction")
-    j_causal = kraus_to_choi(causal).entries
+    j_causal = kraus_to_choi(causal)
     rows = []
     for e in eps:
         mixed = mix(acausal, causal, e)
-        defect = semicausal_defect(mixed, part, sender=sender, tol=tol).strength
-        dist = trace_norm(kraus_to_choi(mixed).entries - j_causal)
+        defect = semicausal_defect(mixed, part).strength
+        dist = trace_norm(kraus_to_choi(mixed) - j_causal)
         rows.append(PerturbationRow(epsilon=e, defect=defect, choi_distance=dist))
     return rows

@@ -5,9 +5,11 @@ A channel is stored by its Kraus family ``{K_i}`` and acts on observables as
 Heisenberg picture is primary throughout the package; the Schroedinger dual
 ``rho -> sum_i K_i rho K_i^+`` is provided for cross-checks only.
 
-The Choi matrix convention is ``J = sum_ij |i><j| (x) Phi(|i><j|)`` with no
-normalization factor, so the identity channel has ``J`` equal to the
-unnormalized maximally-entangled projector of trace ``D``.
+The Choi matrix, a plain ``(D^2, D^2)`` array, is ``J = sum_ij |i><j| (x)
+Phi(|i><j|)`` with no normalization factor, so the identity channel has ``J``
+equal to the unnormalized maximally-entangled projector of trace ``D``.
+:func:`kraus_to_choi` and :func:`choi_to_kraus` convert between the two forms;
+only the latter validates, since a Kraus family is checked on construction.
 """
 
 from __future__ import annotations
@@ -99,33 +101,6 @@ class KrausChannel:
         return c
 
 
-class ChoiMatrix:
-    """Choi matrix of a Heisenberg-picture channel, trace-D normalization."""
-
-    def __init__(self, entries, dims: SystemDims, tol: float = DEFAULT_TOL):
-        self.dims = dims
-        d = dims.total
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (d * d, d * d):
-            raise ValueError(
-                f"Choi matrix must have shape ({d * d}, {d * d}), got {entries.shape}"
-            )
-        self.entries = entries
-        if not is_hermitian(entries, tol):
-            raise ValueError("Choi matrix is not Hermitian")
-        min_eig = float(np.linalg.eigvalsh(entries).min())
-        if min_eig < -tol:
-            raise ValueError(f"Choi matrix has negative eigenvalue {min_eig:.3g}")
-        # Unitality of the channel == the marginal over the index factor is 1.
-        marg = np.trace(entries.reshape(d, d, d, d), axis1=0, axis2=2)
-        err = np.abs(marg - np.eye(d)).max()
-        if err > tol:
-            raise ValueError(
-                f"Choi marginal deviates from identity by {err:.3g}; "
-                "channel is not unital"
-            )
-
-
 def from_unitary(u, dims: SystemDims, tol: float = DEFAULT_TOL) -> KrausChannel:
     """Conjugation channel O -> U^+ O U of a single unitary."""
     u = np.asarray(u, dtype=complex)
@@ -150,34 +125,56 @@ def embed_local(c: KrausChannel, sites, ambient: SystemDims) -> KrausChannel:
     return KrausChannel(embed_operator(c.kraus, sites, ambient), ambient)
 
 
-def kraus_to_choi(c: KrausChannel) -> ChoiMatrix:
-    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the Heisenberg action."""
+def kraus_to_choi(c: KrausChannel) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the Heisenberg action.
+
+    A ``(D^2, D^2)`` array, Hermitian and positive semidefinite by
+    construction, with the identity as its index marginal because ``c`` is
+    unital.
+    """
     d = c.dims.total
     # For Phi(O) = sum_k K^+ O K one has J = sum_k v_k v_k^+ with
     # v_k = vec(conj(K_k)) in row-major order.
     vecs = c.single().conj().reshape(c.nkraus, d * d)
-    entries = np.einsum("ki,kj->ij", vecs, vecs.conj())
-    return ChoiMatrix(entries, c.dims)
+    return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
 def choi_to_kraus(
-    j: ChoiMatrix, cutoff: float = 1e-12, tol: float = DEFAULT_TOL
+    entries, dims: SystemDims, cutoff: float = 1e-12, tol: float = DEFAULT_TOL
 ) -> KrausChannel:
     """Kraus family from the eigendecomposition of a Choi matrix.
 
-    Eigenvalues at or below ``cutoff`` are dropped; an eigenvalue below
-    ``-tol`` is a validation error (already enforced by :class:`ChoiMatrix`).
+    ``entries`` is a ``(D^2, D^2)`` array in the :func:`kraus_to_choi`
+    convention.  It must be Hermitian, have no eigenvalue below ``-tol`` and
+    have the identity as its index marginal (the channel is unital), all
+    within ``tol``; otherwise ``ValueError``.  Eigenvalues at or below
+    ``cutoff`` are dropped.
     """
-    d = j.dims.total
-    evals, evecs = np.linalg.eigh(j.entries)
+    d = dims.total
+    entries = np.asarray(entries, dtype=complex)
+    if entries.shape != (d * d, d * d):
+        raise ValueError(
+            f"Choi matrix must have shape ({d * d}, {d * d}), got {entries.shape}"
+        )
+    if not is_hermitian(entries, tol):
+        raise ValueError("Choi matrix is not Hermitian")
+    evals, evecs = np.linalg.eigh(entries)
     if evals.min() < -tol:
         raise ValueError(f"Choi matrix has negative eigenvalue {evals.min():.3g}")
+    # Unitality of the channel == the marginal over the index factor is 1.
+    marg = np.trace(entries.reshape(d, d, d, d), axis1=0, axis2=2)
+    err = np.abs(marg - np.eye(d)).max()
+    if err > tol:
+        raise ValueError(
+            f"Choi marginal deviates from identity by {err:.3g}; "
+            "channel is not unital"
+        )
     kraus = [
         (np.sqrt(lam) * evecs[:, i]).conj().reshape(d, d)
         for i, lam in enumerate(evals)
         if lam > cutoff
     ]
-    return KrausChannel(kraus, j.dims, tol=tol)
+    return KrausChannel(kraus, dims, tol=tol)
 
 
 def mix(a: KrausChannel, b: KrausChannel, p: float) -> KrausChannel:

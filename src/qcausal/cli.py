@@ -265,20 +265,16 @@ def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
     return c
 
 
-def emit_csv(records, path: Path, columns=None):
-    """Write records (list of uniform dicts) as RFC-4180 CSV.
+def emit_csv(records, path: Path):
+    """Write records (a non-empty list of uniform dicts) as RFC-4180 CSV.
 
-    Floats are printed with 17 significant digits so that reading them back
-    with ``float`` reproduces the exact binary64 values.  An empty record
-    list is allowed when ``columns`` is given explicitly (header-only file);
-    otherwise the column set is taken from the first record.
+    The columns are the keys of the first record.  Floats are printed with 17
+    significant digits so that reading them back with ``float`` reproduces
+    the exact binary64 values.
     """
-    if columns is None:
-        if not records:
-            raise ValueError("no records to infer csv columns from")
-        columns = list(records[0].keys())
-    else:
-        columns = list(columns)
+    if not records:
+        raise ValueError("no records to infer csv columns from")
+    columns = list(records[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -312,7 +308,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     for part in all_bipartitions(dims):
         per_dir = {}
         for sender, oriented in (("left", part), ("right", part.swapped())):
-            rep = semicausal_defect(channel, part, sender=sender)
+            rep = semicausal_defect(channel, oriented)
             per_dir[sender] = rep.strength
             defects.append(
                 {
@@ -461,12 +457,12 @@ def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     dims = SystemDims(p["dims"])
     part = Bipartition.split(dims, p["left_sites"])
     sender, rtol = p["sender"], p["linearity_rtol"]
+    if sender == "right":
+        part = part.swapped()
     rng = RngStream(cfg.seed).generator()
     causal = _channel_from({"zoo": p["causal"]}, dims, rng)
     acausal = _channel_from({"zoo": p["acausal"]}, dims, rng)
-    rows = perturbation_probe(
-        causal, acausal, p["epsilons"], part, sender=sender, tol=p["tol"]
-    )
+    rows = perturbation_probe(causal, acausal, p["epsilons"], part, tol=p["tol"])
     table = []
     for r in rows:
         table.append(

@@ -144,22 +144,22 @@ def random_sorkin_scenario(
     part: Bipartition,
     intervention: KrausChannel,
     rng,
-    nkraus_prep: int = 3,
-    tol: float = 1e-8,
     n: int | None = None,
 ) -> SorkinScenario:
     """Random admissible scenario for a given intervention and sender block.
 
-    Draws a random unital preparation on the sender sites (embedded so it
-    acts trivially elsewhere), a random state and a random Hermitian receiver
-    observable.  With ``n`` it draws a stack of ``n`` scenarios on a leading
-    axis, scenario by scenario in that order from ``rng``, so member ``j``
-    equals the ``j``-th of ``n`` single draws.
+    Draws a random unital preparation of three Kraus operators on the sender
+    sites (embedded so it acts trivially elsewhere), a random state and a
+    random Hermitian receiver observable, validated to within 1e-8.  With
+    ``n`` it draws a stack of ``n`` scenarios on a leading axis, scenario by
+    scenario in that order from ``rng``, so member ``j`` equals the ``j``-th
+    of ``n`` single draws.
     """
     rng = _as_generator(rng)
     dims = part.dims
     sender_dims = SystemDims(tuple(dims.dims[s] for s in part.left))
     d_s, d, d_r = sender_dims.total, dims.total, dims.block_dim(part.right)
+    nkraus_prep = 3
     sizes = (nkraus_prep * 2 * d_s * d_s, 2 * d * d, 2 * d_r * d_r)
     lead = () if n is None else (n,)
     raw = rng.standard_normal(lead + (sum(sizes),))
@@ -172,7 +172,7 @@ def random_sorkin_scenario(
         intervention=intervention,
         observable=embed_operator(obs, part.right, dims),
         partition=part,
-        tol=tol,
+        tol=1e-8,
     )
 
 

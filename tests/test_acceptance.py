@@ -137,8 +137,8 @@ def test_criterion_3_deciders_agree():
                 c = from_unitary(u, dims)
                 by_schmidt = is_causal_unitary(u, dims, tol)
                 by_defect = all(
-                    semicausal_defect(c, part, sender=s).strength <= tol
-                    for s in ("left", "right")
+                    semicausal_defect(c, oriented).strength <= tol
+                    for oriented in (part, part.swapped())
                 )
                 worst = 0.0
                 for oriented in (part, part.swapped()):

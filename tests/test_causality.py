@@ -92,11 +92,10 @@ def _off_gram(c, sites):
     return np.abs(total).max()
 
 
-def _defect_loop(c, part, sender):
-    """The former ``semicausal_defect``: one apply per receiver basis element,
-    full SVD.  Returns (strength, witness)."""
-    p = part if sender == "left" else part.swapped()
-    dims = part.dims
+def _defect_loop(c, p):
+    """The former ``semicausal_defect`` from ``p.left`` to ``p.right``: one
+    apply per receiver basis element, full SVD.  Returns (strength, witness)."""
+    dims = p.dims
     basis = hermitian_basis(dims.block_dim(p.right))
     cols = []
     for b in basis:
@@ -364,17 +363,17 @@ def _one_way_defect_oracle():
 
 class TestSemicausalDefect:
     def test_one_way_channel_against_oracle(self):
-        rep = semicausal_defect(classical_one_way_channel(), QUBIT_PAIR, sender="left")
+        rep = semicausal_defect(classical_one_way_channel(), QUBIT_PAIR)
         np.testing.assert_allclose(rep.strength, _one_way_defect_oracle(), atol=1e-12)
         np.testing.assert_allclose(rep.strength, np.sqrt(2.0), atol=1e-12)
 
     def test_one_way_channel_is_silent_backwards(self):
-        rep = semicausal_defect(classical_one_way_channel(), QUBIT_PAIR, sender="right")
+        rep = semicausal_defect(classical_one_way_channel(), QUBIT_PAIR.swapped())
         assert rep.strength < 1e-12
 
     def test_cnot_signals_both_directions(self):
-        for sender in ("left", "right"):
-            rep = semicausal_defect(cnot_channel(), QUBIT_PAIR, sender=sender)
+        for oriented in (QUBIT_PAIR, QUBIT_PAIR.swapped()):
+            rep = semicausal_defect(cnot_channel(), oriented)
             np.testing.assert_allclose(rep.strength, np.sqrt(2.0), atol=1e-12)
 
     def test_product_channel_has_no_defect(self):
@@ -382,24 +381,22 @@ class TestSemicausalDefect:
         u = haar_local_unitary(SystemDims((2, 3)), g)
         c = from_unitary(u, SystemDims((2, 3)))
         part = Bipartition.split(SystemDims((2, 3)), (0,))
-        for sender in ("left", "right"):
-            assert semicausal_defect(c, part, sender=sender).strength < 1e-12
+        for oriented in (part, part.swapped()):
+            assert semicausal_defect(c, oriented).strength < 1e-12
 
     def test_depolarizing_has_no_defect(self):
         c = depolarizing_channel(SystemDims((2, 2)), 0.7)
-        for sender in ("left", "right"):
-            assert semicausal_defect(c, QUBIT_PAIR, sender=sender).strength < 1e-12
+        for oriented in (QUBIT_PAIR, QUBIT_PAIR.swapped()):
+            assert semicausal_defect(c, oriented).strength < 1e-12
 
     def test_witness_is_valid_and_achieves_strength(self):
         # swap and the one-way channel have degenerate top singular spaces
-        cases = [(cnot_channel(), "left")] + [
-            (c, sender)
-            for c in (swap_channel(3), classical_one_way_channel())
-            for sender in ("left", "right")
-        ]
-        for c, sender in cases:
+        cases = [(cnot_channel(), QUBIT_PAIR)]
+        for c in (swap_channel(3), classical_one_way_channel()):
             part = Bipartition.split(c.dims, (0,))
-            rep = semicausal_defect(c, part, sender=sender)
+            cases += [(c, part), (c, part.swapped())]
+        for c, oriented in cases:
+            rep = semicausal_defect(c, oriented)
             w = rep.witness
             np.testing.assert_allclose(w, w.conj().T, atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(w), 1.0, atol=1e-12)
@@ -415,8 +412,8 @@ class TestSemicausalDefect:
         # at some phase the Hermitian part of the eigenvector alone vanishes
         c = random_kraus_channel(SystemDims((2, 3)), 3, RngStream(36).generator())
         part = Bipartition.split(c.dims, (0,))
-        senders = ("left", "right")
-        expected = [semicausal_defect(c, part, sender=s).witness for s in senders]
+        directions = (part, part.swapped())
+        expected = [semicausal_defect(c, p).witness for p in directions]
         eigh = np.linalg.eigh
 
         def rotated(a):
@@ -424,8 +421,8 @@ class TestSemicausalDefect:
             return evals, evecs * np.exp(1j * phi)
 
         monkeypatch.setattr(np.linalg, "eigh", rotated)
-        for sender, w in zip(senders, expected):
-            rep = semicausal_defect(c, part, sender=sender)
+        for oriented, w in zip(directions, expected):
+            rep = semicausal_defect(c, oriented)
             np.testing.assert_allclose(rep.witness, w, atol=1e-12)
 
     def test_defect_is_convex_in_the_channel(self):
@@ -454,15 +451,11 @@ class TestSemicausalDefect:
         for part in all_bipartitions(dims):
             for nkraus in (1, 3):
                 c = random_kraus_channel(dims, nkraus, g)
-                for sender in ("left", "right"):
-                    rep = semicausal_defect(c, part, sender=sender)
-                    strength, witness = _defect_loop(c, part, sender)
+                for oriented in (part, part.swapped()):
+                    rep = semicausal_defect(c, oriented)
+                    strength, witness = _defect_loop(c, oriented)
                     np.testing.assert_allclose(rep.strength, strength, rtol=1e-12)
                     np.testing.assert_allclose(rep.witness, witness, atol=1e-12)
-
-    def test_rejects_bad_sender(self):
-        with pytest.raises(ValueError, match="sender"):
-            semicausal_defect(cnot_channel(), QUBIT_PAIR, sender="top")
 
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):

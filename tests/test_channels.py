@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qcausal.channels import (
-    ChoiMatrix,
     KrausChannel,
     choi_to_kraus,
     classical_one_way_channel,
@@ -157,33 +156,41 @@ class TestChoi:
         c = identity_channel(SystemDims((2, 2)))
         j = kraus_to_choi(c)
         omega = np.eye(4).reshape(16)
-        np.testing.assert_allclose(j.entries, np.outer(omega, omega), atol=1e-14)
-        np.testing.assert_allclose(np.trace(j.entries), 4.0)
+        np.testing.assert_allclose(j, np.outer(omega, omega), atol=1e-14)
+        np.testing.assert_allclose(np.trace(j), 4.0)
 
     def test_choi_positive_and_marginal(self):
         c = random_kraus_channel(SystemDims((2, 2)), 3, RngStream(11))
-        j = kraus_to_choi(c)  # constructor validates PSD + unital marginal
-        evals = np.linalg.eigvalsh(j.entries)
+        j = kraus_to_choi(c)
+        evals = np.linalg.eigvalsh(j)
         assert evals.min() > -1e-12
+        marg = np.trace(j.reshape(4, 4, 4, 4), axis1=0, axis2=2)
+        np.testing.assert_allclose(marg, np.eye(4), atol=1e-12)
 
     def test_roundtrip_preserves_action(self, rng):
-        c = random_kraus_channel(SystemDims((2, 2)), 3, RngStream(12))
-        back = choi_to_kraus(kraus_to_choi(c))
-        op = _rand_op(rng, 4)
-        np.testing.assert_allclose(back.apply(op), c.apply(op), atol=1e-10)
-        # rank can only shrink
-        assert back.nkraus <= 16
+        for dims in (SystemDims((2, 2)), SystemDims((2, 3))):
+            c = random_kraus_channel(dims, 3, RngStream(12))
+            back = choi_to_kraus(kraus_to_choi(c), dims)
+            assert back.dims == dims
+            op = _rand_op(rng, dims.total)
+            np.testing.assert_allclose(back.apply(op), c.apply(op), atol=1e-10)
+            # rank can only shrink
+            assert back.nkraus <= dims.total**2
 
-    def test_rejects_negative_choi(self):
-        with pytest.raises(ValueError, match="negative"):
-            ChoiMatrix(np.diag([1.0, -0.5] + [0.0] * 14), SystemDims((2, 2)))
-
-    def test_rejects_non_unital_choi(self):
-        # Valid PSD matrix whose index marginal is not the identity.
-        bad = np.zeros((16, 16))
-        bad[0, 0] = 4.0
-        with pytest.raises(ValueError, match="unital"):
-            ChoiMatrix(bad, SystemDims((2, 2)))
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            (np.diag([1.0, -0.5] + [0.0] * 14), "negative"),
+            # PSD, but the index marginal is not the identity
+            (np.diag([4.0] + [0.0] * 15), "unital"),
+            (np.triu(np.ones((16, 16))), "Hermitian"),
+            (np.eye(4), "shape"),
+        ],
+        ids=["negative", "non-unital", "non-hermitian", "wrong-shape"],
+    )
+    def test_rejects_bad_choi(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            choi_to_kraus(entries, SystemDims((2, 2)))
 
 
 class TestMix:

@@ -381,8 +381,6 @@ class TestCsv:
     def test_emit_csv_empty_needs_explicit_columns(self, tmp_path):
         with pytest.raises(ValueError, match="columns"):
             emit_csv([], tmp_path / "empty.csv")
-        emit_csv([], tmp_path / "empty.csv", columns=["a", "b"])
-        assert (tmp_path / "empty.csv").read_text().strip() == "a,b"
 
 
 class TestCheckCausal:
@@ -570,6 +568,27 @@ class TestOtherRunners:
         np.testing.assert_allclose(
             res["rows"][0]["defect_over_epsilon"], np.sqrt(2.0), atol=1e-9
         )
+
+    def test_perturb_ball_sender_orients_the_bipartition(self, tmp_path, capsys):
+        def run_ball(**extra):
+            data = {"experiment": "perturb-ball", "seed": 4, **extra}
+            cfg = _write(tmp_path, "c.json", data)
+            return main(["perturb-ball", "--config", cfg, "--out-dir", str(tmp_path)])
+
+        def rows():
+            report = json.loads((tmp_path / "perturb-ball-report.json").read_text())
+            return report["results"]["rows"]
+
+        assert run_ball() == 0
+        default = rows()
+        # sender right of the split {1} | {0} is the default direction 0 -> 1
+        assert run_ball(sender="right", left_sites=[1]) == 0
+        assert rows() == default
+        # the one-way channel is silent from 1 to 0
+        capsys.readouterr()
+        assert run_ball(sender="right", left_sites=[0]) == 1
+        err = capsys.readouterr().err
+        assert "error: 'acausal' endpoint shows no defect" in err
 
     def test_lattice_sorkin_passes_and_is_nonzero(self, tmp_path):
         cfg = _write(
