@@ -86,7 +86,8 @@ class SorkinScenario:
 
     ``partition.left`` is the sender site set M; the preparation must be
     local to it and the observable supported on the receiver sites
-    ``partition.right``.  All constraints are validated at construction.
+    ``partition.right``.  All constraints are validated at construction,
+    within ``DEFAULT_TOL``.
 
     A stack of scenarios, tested against one intervention, has the same
     leading axes on ``rho``, ``observable`` and the Kraus stack of ``prep``;
@@ -98,11 +99,10 @@ class SorkinScenario:
     intervention: KrausChannel
     observable: np.ndarray
     partition: Bipartition
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         dims = self.partition.dims
-        self.rho = check_density(self.rho, self.tol)
+        self.rho = check_density(self.rho)
         if self.rho.shape[-2:] != (dims.total, dims.total):
             raise ValueError("state dimension does not match the partition")
         if self.prep.dims != dims or self.intervention.dims != dims:
@@ -115,11 +115,11 @@ class SorkinScenario:
                 f"state, preparation and observable stacks differ: "
                 f"{lead}, {self.prep.kraus.shape[:-3]}, {self.observable.shape[:-2]}"
             )
-        if not is_hermitian(self.observable, self.tol):
+        if not is_hermitian(self.observable):
             raise ValueError("observable is not Hermitian")
-        if not is_supported_on(self.observable, self.partition.right, dims, self.tol):
+        if not is_supported_on(self.observable, self.partition.right, dims):
             raise ValueError("observable is not supported on the receiver sites")
-        if not is_local_channel(self.prep, self.partition.left, self.tol):
+        if not is_local_channel(self.prep, self.partition.left):
             raise ValueError("preparation is not local to the sender sites")
 
 
@@ -211,16 +211,13 @@ def is_causal_unitary(u, dims: SystemDims, tol: float = DEFAULT_TOL) -> bool:
     """True if ``u`` is a tensor product of local unitaries (signals nowhere).
 
     Checks that the second operator Schmidt value is at most ``tol`` across
-    every bipartition of the sites.
+    every bipartition of the sites; ``u`` must be unitary within
+    ``DEFAULT_TOL``.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, max(tol, DEFAULT_TOL)):
+    if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance")
-    for part in all_bipartitions(dims):
-        svals = operator_schmidt_values(u, part)
-        if svals.size > 1 and svals[1] > tol:
-            return False
-    return True
+    return all(operator_schmidt_values(u, p)[1] <= tol for p in all_bipartitions(dims))
 
 
 @dataclass

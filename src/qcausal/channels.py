@@ -37,13 +37,12 @@ class KrausChannel:
     kraus : sequence of (D, D) complex matrices, or a ``(..., k, D, D)`` stack
         of such families: one channel per leading index
     dims : SystemDims with total dimension D
-    tol : absolute tolerance for the unitality check at construction, applied
-        to every channel of a stack
 
-    Methods that need one channel reject a stack.
+    Every channel of a stack must be unital within ``DEFAULT_TOL``.  Methods
+    that need one channel reject a stack.
     """
 
-    def __init__(self, kraus, dims: SystemDims, tol: float = DEFAULT_TOL):
+    def __init__(self, kraus, dims: SystemDims):
         self.dims = dims
         d = dims.total
         ks = np.array(kraus, dtype=complex)
@@ -54,7 +53,7 @@ class KrausChannel:
         self.kraus = ks
         with np.errstate(invalid="ignore", over="ignore"):
             err = np.abs(gram_sum(ks) - np.eye(d)).max()
-        if not err <= tol:  # also catches NaN and inf entries
+        if not err <= DEFAULT_TOL:  # also catches NaN and inf entries
             raise ValueError(f"Kraus family is not unital: deviation {err:.3g}")
 
     @property
@@ -101,12 +100,12 @@ class KrausChannel:
         return c
 
 
-def from_unitary(u, dims: SystemDims, tol: float = DEFAULT_TOL) -> KrausChannel:
+def from_unitary(u, dims: SystemDims) -> KrausChannel:
     """Conjugation channel O -> U^+ O U of a single unitary."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    return KrausChannel([u], dims, tol=tol)
+    return KrausChannel([u], dims)
 
 
 def embed_local(c: KrausChannel, sites, ambient: SystemDims) -> KrausChannel:
@@ -139,16 +138,14 @@ def kraus_to_choi(c: KrausChannel) -> np.ndarray:
     return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
-def choi_to_kraus(
-    entries, dims: SystemDims, cutoff: float = 1e-12, tol: float = DEFAULT_TOL
-) -> KrausChannel:
+def choi_to_kraus(entries, dims: SystemDims) -> KrausChannel:
     """Kraus family from the eigendecomposition of a Choi matrix.
 
     ``entries`` is a ``(D^2, D^2)`` array in the :func:`kraus_to_choi`
-    convention.  It must be Hermitian, have no eigenvalue below ``-tol`` and
-    have the identity as its index marginal (the channel is unital), all
-    within ``tol``; otherwise ``ValueError``.  Eigenvalues at or below
-    ``cutoff`` are dropped.
+    convention.  It must be Hermitian, have no eigenvalue below
+    ``-DEFAULT_TOL`` and have the identity as its index marginal (the channel
+    is unital), all within ``DEFAULT_TOL``; otherwise ``ValueError``.
+    Eigenvalues at or below 1e-12 are dropped.
     """
     d = dims.total
     entries = np.asarray(entries, dtype=complex)
@@ -156,15 +153,15 @@ def choi_to_kraus(
         raise ValueError(
             f"Choi matrix must have shape ({d * d}, {d * d}), got {entries.shape}"
         )
-    if not is_hermitian(entries, tol):
+    if not is_hermitian(entries):
         raise ValueError("Choi matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(entries)
-    if evals.min() < -tol:
+    if evals.min() < -DEFAULT_TOL:
         raise ValueError(f"Choi matrix has negative eigenvalue {evals.min():.3g}")
     # Unitality of the channel == the marginal over the index factor is 1.
     marg = np.trace(entries.reshape(d, d, d, d), axis1=0, axis2=2)
     err = np.abs(marg - np.eye(d)).max()
-    if err > tol:
+    if err > DEFAULT_TOL:
         raise ValueError(
             f"Choi marginal deviates from identity by {err:.3g}; "
             "channel is not unital"
@@ -172,9 +169,9 @@ def choi_to_kraus(
     kraus = [
         (np.sqrt(lam) * evecs[:, i]).conj().reshape(d, d)
         for i, lam in enumerate(evals)
-        if lam > cutoff
+        if lam > 1e-12
     ]
-    return KrausChannel(kraus, dims, tol=tol)
+    return KrausChannel(kraus, dims)
 
 
 def mix(a: KrausChannel, b: KrausChannel, p: float) -> KrausChannel:
@@ -232,17 +229,12 @@ def depolarizing_channel(dims: SystemDims, lam: float) -> KrausChannel:
     d = dims.total
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    shifts = [np.linalg.matrix_power(shift, a) for a in range(d)]
+    clocks = [np.linalg.matrix_power(clock, b) for b in range(d)]
     kraus = [np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=complex)]
     w = lam / d**2
-    for a in range(d):
-        for b in range(d):
-            if a == 0 and b == 0:
-                continue
-            kraus.append(
-                np.sqrt(w)
-                * np.linalg.matrix_power(shift, a)
-                @ np.linalg.matrix_power(clock, b)
-            )
+    # [1:] drops S^0 C^0, the identity, which leads the family already
+    kraus += [np.sqrt(w) * s @ c for s in shifts for c in clocks][1:]
     return KrausChannel(kraus, dims)
 
 

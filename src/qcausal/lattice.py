@@ -338,12 +338,12 @@ def signalling_derivative(
 ) -> float:
     """d/d lam of the chain expectation; equals -2 Delta(f, g) Delta(f, h).
 
-    The expectation is affine in lam, so the derivative is an exact finite
-    difference of the chain at lam = 1 and lam = 0.
+    The expectation is ``0.0 - lam * shift``, linear in lam with no constant
+    term, so its value at lam = 0 is exactly +0.0 and the finite difference
+    between lam = 1 and lam = 0 is, bit for bit and signed zero included,
+    the expectation at lam = 1.
     """
-    at_one = sorkin_chain(lattice, f, g, h, 1.0).expectation
-    at_zero = sorkin_chain(lattice, f, g, h, 0.0).expectation
-    return at_one - at_zero
+    return sorkin_chain(lattice, f, g, h, 1.0).expectation
 
 
 @dataclass(frozen=True)

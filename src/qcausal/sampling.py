@@ -22,7 +22,7 @@ from .causality import (
     nearest_product_unitaries,
     operator_schmidt_values,
 )
-from .channels import KrausChannel, embed_local
+from .channels import KrausChannel
 from .tensor import (
     Bipartition,
     SystemDims,
@@ -150,15 +150,14 @@ def random_sorkin_scenario(
 
     Draws a random unital preparation of three Kraus operators on the sender
     sites (embedded so it acts trivially elsewhere), a random state and a
-    random Hermitian receiver observable, validated to within 1e-8.  With
-    ``n`` it draws a stack of ``n`` scenarios on a leading axis, scenario by
-    scenario in that order from ``rng``, so member ``j`` equals the ``j``-th
-    of ``n`` single draws.
+    random Hermitian receiver observable, validated within ``DEFAULT_TOL``
+    like every :class:`SorkinScenario`.  With ``n`` it draws a stack of ``n``
+    scenarios on a leading axis, scenario by scenario in that order from
+    ``rng``, so member ``j`` equals the ``j``-th of ``n`` single draws.
     """
     rng = _as_generator(rng)
     dims = part.dims
-    sender_dims = SystemDims(tuple(dims.dims[s] for s in part.left))
-    d_s, d, d_r = sender_dims.total, dims.total, dims.block_dim(part.right)
+    d_s, d, d_r = part.left_dim, dims.total, part.right_dim
     nkraus_prep = 3
     sizes = (nkraus_prep * 2 * d_s * d_s, 2 * d * d, 2 * d_r * d_r)
     lead = () if n is None else (n,)
@@ -168,11 +167,10 @@ def random_sorkin_scenario(
     obs = _hermitian_part(_complex(raw_obs.reshape(lead + (2, d_r, d_r))))
     return SorkinScenario(
         rho=_density(_ginibre(raw_rho.reshape(lead + (2, d, d)))),
-        prep=embed_local(KrausChannel(kraus, sender_dims), part.left, dims),
+        prep=KrausChannel(embed_operator(kraus, part.left, dims), dims),
         intervention=intervention,
         observable=embed_operator(obs, part.right, dims),
         partition=part,
-        tol=1e-8,
     )
 
 

@@ -22,8 +22,10 @@ from itertools import combinations
 
 import numpy as np
 
-#: Default absolute tolerance for structural checks (unitarity, Hermiticity,
-#: support tests).  Every check accepts an explicit override.
+#: Absolute tolerance of every structural check an object runs on itself
+#: (unitality, Hermiticity, positivity, support and locality).  Predicates
+#: asked at a tolerance take it as their default; verdict tolerances are
+#: config fields.
 DEFAULT_TOL = 1e-10
 
 #: Largest supported total dimension.  Keeps every dense operation cheap and
@@ -260,22 +262,22 @@ def hermitian_basis(d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    basis = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1 / np.sqrt(2)
-            basis.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1j / np.sqrt(2)
-            asym[k, j] = 1j / np.sqrt(2)
-            basis.append(asym)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[0].flat[:: d + 1] = 1 / np.sqrt(d)
+    # pairs j < k, row-major as from np.triu_indices, which costs more at d = 2
+    j, k = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+    couples = basis[1 : d * d - d + 1].reshape(-1, 2, d, d)
+    q = np.arange(j.size)
+    couples[q, :, j, k] = (1 / np.sqrt(2), -1j / np.sqrt(2))
+    couples[q, :, k, j] = (1 / np.sqrt(2), 1j / np.sqrt(2))
     for l in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        diag[np.arange(l), np.arange(l)] = 1
-        diag[l, l] = -l
-        basis.append(diag / np.sqrt(l * (l + 1)))
-    return np.array(basis)
+        diag = basis[d * d - d + l]
+        scale = 1 / np.sqrt(l * (l + 1))
+        diag.flat[: l * (d + 1) : d + 1] = scale
+        # bit for bit the complex Gell-Mann matrix / sqrt(l (l + 1)), which numpy
+        # divides through the reciprocal; -l / sqrt(l (l + 1)) differs from l = 3
+        diag[l, l] = -l * scale
+    return basis
 
 
 def frobenius_inner(a, b) -> complex:

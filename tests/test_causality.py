@@ -20,6 +20,7 @@ from qcausal.causality import (
 )
 from qcausal.channels import (
     KrausChannel,
+    choi_to_kraus,
     cnot_channel,
     classical_one_way_channel,
     depolarizing_channel,
@@ -269,6 +270,79 @@ class TestStackedScenarioValidation:
         stacked = KrausChannel([cnot_channel().kraus] * 4, QUBIT_PAIR.dims)
         with pytest.raises(ValueError, match="single channel"):
             SorkinScenario(rho, prep, stacked, obs, QUBIT_PAIR)
+
+
+def _unitality_probe(eps):
+    KrausChannel([np.sqrt(1.0 + eps) * I2], SystemDims((2,)))
+
+
+def _choi_probe(kind):
+    def probe(eps):
+        # the fully depolarizing channel's Choi matrix is 1/2, the identity
+        # channel's the projector onto vec(1) = e_0 + e_3
+        if kind == "hermitian":
+            j = np.eye(4) / 2
+            j[0, 1] = eps
+        elif kind == "negative":  # e_1 gets -eps, e_3 pays it back in the marginal
+            omega = np.eye(2).reshape(4)
+            j = np.outer(omega, omega) + eps * np.diag([0.0, -1.0, 0.0, 1.0])
+        else:  # marginal (1 + eps) * 1
+            j = (1.0 + eps) * np.eye(4) / 2
+        choi_to_kraus(j, SystemDims((2,)))
+
+    return probe
+
+
+def _scenario_probe(kind):
+    def probe(eps):
+        rho = np.outer(_ket(0, 0), _ket(0, 0))
+        obs = np.kron(I2, Z)
+        kraus = [np.kron(X, I2)]
+        if kind == "state":
+            rho = np.diag([1.0 + eps, -eps, 0.0, 0.0])
+        elif kind == "observable":
+            obs = obs + eps * np.kron(Z, I2)
+        else:  # mixes in a flip on the receiver with weight eps
+            kraus = [np.sqrt(1.0 - eps) * kraus[0], np.sqrt(eps) * np.kron(I2, X)]
+        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
+        SorkinScenario(rho, prep, cnot_channel(), obs, QUBIT_PAIR)
+
+    return probe
+
+
+def _random_stack_probe(eps):
+    """Member 2 of a drawn stack gets its Kraus operators times the unitary
+    sqrt(1 - eps) - i sqrt(eps) (1 (x) Z (x) 1), whose off-sender Gram is eps."""
+    part = Bipartition.split(SystemDims((2, 2, 2)), (0,))
+    g = RngStream(41).generator()
+    s = random_sorkin_scenario(part, random_kraus_channel(part.dims, 2, g), g, n=4)
+    flip = embed_operator(Z, (1,), part.dims)
+    kraus = s.prep.kraus.copy()
+    kraus[2] = kraus[2] @ (np.sqrt(1.0 - eps) * np.eye(8) - 1j * np.sqrt(eps) * flip)
+    prep = KrausChannel(kraus, part.dims)
+    SorkinScenario(s.rho, prep, s.intervention, s.observable, part)
+
+
+_TOL_PROBES = {
+    "kraus-unitality": (_unitality_probe, "not unital"),
+    "choi-hermitian": (_choi_probe("hermitian"), "not Hermitian"),
+    "choi-negative": (_choi_probe("negative"), "negative eigenvalue"),
+    "choi-marginal": (_choi_probe("marginal"), "not unital"),
+    "scenario-state": (_scenario_probe("state"), "negative eigenvalue"),
+    "scenario-observable": (_scenario_probe("observable"), "receiver sites"),
+    "scenario-prep": (_scenario_probe("prep"), "not local"),
+    "random-stack-prep": (_random_stack_probe, "not local"),
+}
+
+
+@pytest.mark.parametrize("name", list(_TOL_PROBES))
+def test_self_checks_use_default_tol(name):
+    """Every structural self-check reads DEFAULT_TOL = 1e-10: a defect of
+    1e-9 raises, one of 1e-12 passes."""
+    probe, match = _TOL_PROBES[name]
+    probe(1e-12)
+    with pytest.raises(ValueError, match=match):
+        probe(1e-9)
 
 
 class TestSorkinViolation:

@@ -214,6 +214,25 @@ class TestMix:
             mix(identity_channel(SystemDims((2,))), identity_channel(SystemDims((3,))), 0.5)
 
 
+def _depolarizing_kraus_loop(d, lam):
+    """depolarizing_channel's Kraus family with one matrix_power pair per
+    operator, frozen as the reference."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    kraus = [np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=complex)]
+    w = lam / d**2
+    for a in range(d):
+        for b in range(d):
+            if a == 0 and b == 0:
+                continue
+            kraus.append(
+                np.sqrt(w)
+                * np.linalg.matrix_power(shift, a)
+                @ np.linalg.matrix_power(clock, b)
+            )
+    return np.array(kraus)
+
+
 class TestZoo:
     def test_cnot_action(self):
         c = cnot_channel()
@@ -243,6 +262,14 @@ class TestZoo:
         np.testing.assert_allclose(
             c.apply(op), np.trace(op) / 3 * np.eye(3), atol=1e-12
         )
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (4, 4)])
+    def test_depolarizing_matches_double_loop(self, dims):
+        dims = SystemDims(dims)
+        got = depolarizing_channel(dims, 0.35).kraus
+        want = _depolarizing_kraus_loop(dims.total, 0.35)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # sign bits included
 
     def test_depolarizing_rejects_bad_strength(self):
         with pytest.raises(ValueError, match="strength"):

@@ -330,7 +330,34 @@ class TestPolarUnitary:
             assert np.trace(v.conj().T @ m).real <= best + 1e-10
 
 
+def _hermitian_basis_loop(d):
+    """hermitian_basis as built element by element, frozen as the reference."""
+    basis = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1 / np.sqrt(2)
+            basis.append(sym)
+            asym = np.zeros((d, d), dtype=complex)
+            asym[j, k] = -1j / np.sqrt(2)
+            asym[k, j] = 1j / np.sqrt(2)
+            basis.append(asym)
+    for l in range(1, d):
+        diag = np.zeros((d, d), dtype=complex)
+        diag[np.arange(l), np.arange(l)] = 1
+        diag[l, l] = -l
+        basis.append(diag / np.sqrt(l * (l + 1)))
+    return np.array(basis)
+
+
 class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 16, 32])
+    def test_matches_loop_builder_bit_for_bit(self, d):
+        got, want = hermitian_basis(d), _hermitian_basis_loop(d)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # tobytes compares sign bits too, so -0.0 against 0.0 fails
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthonormal_hermitian_complete(self, d):
         basis = hermitian_basis(d)
