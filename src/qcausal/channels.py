@@ -93,8 +93,8 @@ class KrausChannel:
     @classmethod
     def from_json(cls, data: dict) -> "KrausChannel":
         """Inverse of :meth:`to_json`; malformed input raises ``ValueError``."""
-        if not isinstance(data, dict) or not {"dims", "kraus"} <= data.keys():
-            raise ValueError("a channel must be an object with 'dims' and 'kraus'")
+        if not isinstance(data, dict) or data.keys() != {"dims", "kraus"}:
+            raise ValueError("a channel must be an object with just 'dims' and 'kraus'")
         c = cls(from_re_im(data["kraus"]), SystemDims(data["dims"]))
         c.single()  # the wire format holds one channel
         return c

@@ -2,14 +2,14 @@
 
 Usage::
 
-    qcausal <experiment> --config cfg.json [--out-dir DIR] [--verbose]
+    qcausal <experiment> --config cfg.json [--out-dir DIR]
 
 with experiments ``check-causal``, ``sample-haar``, ``nearest-product``,
 ``perturb-ball`` and ``lattice-sorkin``.  The config is a JSON object that
 must carry the experiment name and an integer ``seed`` (all randomness is
 derived from it through fixed streams, so reruns of the same config produce
 byte-identical reports apart from the wall-time field).  Exit codes: 0 on
-success, 1 on a validation error (bad config or violated precondition),
+success, 1 on a refusal (bad arguments or config, violated precondition),
 2 when the experiment's assertion fails (for example a product-within-
 tolerance hit while sampling the full unitary group).
 
@@ -274,19 +274,13 @@ def emit_csv(records, path: Path):
     """
     if not records:
         raise ValueError("no records to infer csv columns from")
-    columns = list(records[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            row = []
-            for col in columns:
-                v = rec[col]
-                if isinstance(v, float):
-                    row.append(format(v, ".17g"))
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+        writer.writerow(records[0].keys())
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in rec.values()]
+            for rec in records
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +288,7 @@ def emit_csv(records, path: Path):
 # ---------------------------------------------------------------------------
 
 
-def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
+def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
     p = cfg.params
     dims = SystemDims(p["dims"])
     tol, n_scenarios = p["tol"], p["n_scenarios"]
@@ -350,12 +344,10 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
         verdicts.append(product_verdict)
     agree = len(set(verdicts)) == 1
     results["deciders_agree"] = agree
-    if verbose:
-        print(f"check-causal: verdicts {verdicts}, agree={agree}", file=sys.stderr)
     return results, agree
 
 
-def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
+def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path):
     p = cfg.params
     dims = SystemDims(p["dims"])
     n_samples, tol, sampler = p["n_samples"], p["tol"], p["sampler"]
@@ -395,16 +387,10 @@ def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
         passed = stats.count_product_within_tol == n_samples
     else:
         passed = True
-    if verbose:
-        print(
-            f"sample-haar[{sampler}]: {stats.count_product_within_tol}/{n_samples} "
-            f"product hits at tol {tol:g}",
-            file=sys.stderr,
-        )
     return results, passed
 
 
-def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
+def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path):
     p = cfg.params
     dims = SystemDims(p["dims"])
     part = Bipartition.split(dims, p["left_sites"])
@@ -438,12 +424,6 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
             row["u1"] = to_re_im(res.u1)
             row["u2"] = to_re_im(res.u2)
         rows.append(row)
-        if verbose:
-            print(
-                f"nearest-product {label}: distance {res.distance:.6g} "
-                f"in {res.iterations} sweeps",
-                file=sys.stderr,
-            )
     results = {
         "dims": list(dims.dims),
         "left_sites": list(part.left),
@@ -452,7 +432,7 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
     return results, all(r["converged"] for r in rows)
 
 
-def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
+def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path):
     p = cfg.params
     dims = SystemDims(p["dims"])
     part = Bipartition.split(dims, p["left_sites"])
@@ -494,15 +474,10 @@ def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
         "linearity_rtol": rtol,
         "linear": linear,
     }
-    if verbose:
-        print(
-            f"perturb-ball: ratio spreads {defect_spread:.3g} / {choi_spread:.3g}",
-            file=sys.stderr,
-        )
     return results, linear
 
 
-def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
+def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path):
     p = cfg.params
     lattice = LatticeSpec(**p["lattice"])
     opts = BuildOptions(**p["build_opts"])
@@ -560,11 +535,6 @@ def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path, verbose: bool):
             "h": support_json(h),
         },
     }
-    if verbose:
-        print(
-            f"lattice-sorkin: derivative {deriv:.6g}, identity_ok={ok}",
-            file=sys.stderr,
-        )
     return results, ok
 
 
@@ -623,11 +593,11 @@ EXPERIMENTS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False):
+def run(cfg: ExperimentConfig, out_dir: Path):
     """Execute one experiment; returns (report dict, exit code)."""
     start = time.perf_counter()
     runner = EXPERIMENTS[cfg.experiment][0]
-    results, passed = runner(cfg, out_dir, verbose)
+    results, passed = runner(cfg, out_dir)
     report = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
@@ -643,8 +613,13 @@ def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False):
     return report, (0 if passed else 2)
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers inherit the class
+    def error(self, message):
+        raise ConfigError(message)  # exit 1 through main, with no usage banner
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcausal",
         description="Causality experiments for quantum channels and lattice fields.",
     )
@@ -653,9 +628,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out-dir", default=".", help="directory for reports")
-        sp.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         try:
             raw = json.loads(Path(args.config).read_text())
         except FileNotFoundError as exc:
@@ -675,7 +649,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use --out-dir {args.out_dir}: {exc}") from exc
-        report, code = run(cfg, out_dir, args.verbose)
+        report, code = run(cfg, out_dir)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

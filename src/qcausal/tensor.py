@@ -17,6 +17,7 @@ there is deliberately no sparse or tensor-network path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -45,7 +46,7 @@ class SystemDims:
 
     def __post_init__(self):
         try:
-            dims = tuple(int(d) for d in self.dims)
+            dims = tuple(operator.index(d) for d in self.dims)  # refuses str and float
         except TypeError as exc:
             raise ValueError(
                 f"dims must be a list of integers, got {self.dims!r}"

@@ -212,6 +212,17 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             SorkinScenario(np.eye(4), prep, cnot_channel(), np.kron(I2, Z), QUBIT_PAIR)
 
+    def test_rejects_dims_mismatch(self):
+        rho, prep = self._parts()
+        obs = np.kron(I2, Z)
+        with pytest.raises(ValueError, match="state dimension does not match"):
+            SorkinScenario(np.eye(2) / 2, prep, cnot_channel(), obs, QUBIT_PAIR)
+        on_one_site = KrausChannel(cnot_channel().kraus, SystemDims((4,)))
+        with pytest.raises(ValueError, match="channel dims do not match"):
+            SorkinScenario(rho, on_one_site, cnot_channel(), obs, QUBIT_PAIR)
+        with pytest.raises(ValueError, match="channel dims do not match"):
+            SorkinScenario(rho, prep, on_one_site, obs, QUBIT_PAIR)
+
 
 class TestStackedScenarioValidation:
     """Stacks of four scenarios in which only member 2 is bad."""

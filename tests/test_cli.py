@@ -123,6 +123,31 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().out.strip() == "sample-haar: PASS"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["nonexistent", "--config", "c.json"],
+            ["check-causal"],
+            ["check-causal", "--config", "c.json", "--bogus"],
+            ["check-causal", "--config", "c.json", "--verbose"],
+        ],
+        ids=["unknown-subcommand", "no-config", "unknown-flag", "verbose"],
+    )
+    def test_usage_error_is_one(self, tmp_path, capsys, args):
+        # a usage error is a refusal, never the exit code 2 of a failed check
+        cfg = _write(tmp_path, "c.json", _TINY_BASE["check-causal"])
+        code = main([cfg if a == "c.json" else a for a in args])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-causal", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_missing_config_is_one(self, tmp_path, capsys):
         code = main(
             ["sample-haar", "--config", str(tmp_path / "nope.json")]
@@ -168,10 +193,13 @@ class TestExitCodes:
             {"dims": [2, 2], "kraus": [[[["1", 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
             {"dims": [2, 2], "kraus": [[[[float("nan"), 0]] + [[0, 0]] * 3] + _EYE3_ROWS]},
             {"dims": [2, 2], "kraus": [[_CNOT], [_CNOT]]},
+            {"dims": ["2", 2], "kraus": [_CNOT]},
+            {"dims": [2, 2], "kraus": [_CNOT], "note": "x"},
+            {"dims": [4], "kraus": [_CNOT]},
         ],
         ids=[
             "no-dims", "flat-kraus", "not-an-object", "scalar-dims", "string-entry", "nan-entry",
-            "stacked-kraus",
+            "stacked-kraus", "string-dims", "extra-key", "other-dims",
         ],
     )
     def test_malformed_channel_is_one(self, tmp_path, capsys, channel):
@@ -278,6 +306,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(field) in err
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (
+                dict(_TINY_BASE["check-causal"], dims=[2, 3]),
+                "zoo channel 'cnot' has dims (2, 2), config says (2, 3)",
+            ),
+            (
+                {
+                    "experiment": "check-causal",
+                    "seed": 3,
+                    "dims": [2, 2],
+                    "unitary": [[[1, 0], [0, 0]], [[0, 0]]],
+                },
+                "cannot parse [re, im] pairs",
+            ),
+            (
+                # past int64, so the region is read through an object array
+                dict(_TINY_BASE["lattice-sorkin"], k_region=[[6, 10**23]]),
+                f"region point (6, {10**23}) outside the lattice window",
+            ),
+        ],
+        ids=["zoo-on-other-dims", "ragged-unitary", "region-past-int64"],
+    )
+    def test_refusal_past_the_config_table_is_one(self, tmp_path, capsys, cfg, message):
+        path = _write(tmp_path, "c.json", cfg)
+        code = main([cfg["experiment"], "--config", path, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_out_dir_that_is_a_file_is_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=3))
@@ -630,6 +689,27 @@ def test_console_script_entry_point(tmp_path):
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_entry_module_runs_from_source(tmp_path):
+    # the module's own `sys.exit(main())`, without an installed script
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    blocks = re.findall(r"```json\n(.*?)```", _README.read_text(), re.S)
+    example = next(b for b in map(json.loads, blocks) if b["experiment"] == "perturb-ball")
+    cfg = _write(tmp_path, "c.json", example)
+
+    def qcausal(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qcausal.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    out = qcausal("perturb-ball", "--config", cfg, "--out-dir", str(tmp_path), "--verbose")
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == "error: unrecognized arguments: --verbose\n"
+    out = qcausal("perturb-ball", "--config", cfg, "--out-dir", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "perturb-ball: PASS\n" and out.stderr == ""
 
 
 class TestReadme:

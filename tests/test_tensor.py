@@ -43,7 +43,7 @@ class TestSystemDims:
             SystemDims(())
 
     def test_rejects_non_integer_dims(self):
-        for bad in (5, [None], [[2], 2]):
+        for bad in (5, [None], [[2], 2], ["2", 2], [2.9, 2]):
             with pytest.raises(ValueError, match="list of integers"):
                 SystemDims(bad)
 
