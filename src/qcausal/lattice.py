@@ -19,6 +19,7 @@ with ``Delta`` as returned by :func:`pauli_jordan`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,6 +41,8 @@ class LatticeSpec:
             raise ValueError("need at least 3 spatial sites")
         if self.n_steps < 2:
             raise ValueError("need at least 2 time steps")
+        if not math.isfinite(self.mass):
+            raise ValueError("mass must be finite")
         if self.mass < 0:
             raise ValueError("mass must be non-negative")
 
@@ -139,8 +142,10 @@ class TestFunction:
     """Real smearing coefficients on finitely many lattice points.
 
     Instances compare and hash by identity so they can key the linear part
-    of an :class:`AffineField`; building a test function never mutates an
-    existing one, and the mapping is read-only after construction.
+    of an :class:`AffineField` and the :func:`pauli_jordan` cache; building a
+    test function never mutates an existing one, and the mapping and arrays
+    are read-only after construction.  ``bounds`` is the support's bounding
+    box, so a window check reads four ints instead of scanning the support.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -150,6 +155,8 @@ class TestFunction:
     ts: np.ndarray = field(init=False, repr=False)
     xs: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
+    # (min t, max t, min x, max x) of the support
+    bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values = {
@@ -162,6 +169,9 @@ class TestFunction:
         self.weights = np.fromiter(self.values.values(), float, len(self.values))
         for a in (self.ts, self.xs, self.weights):
             a.setflags(write=False)
+        self.bounds = tuple(
+            int(v) for v in (self.ts.min(), self.ts.max(), self.xs.min(), self.xs.max())
+        )
 
     @property
     def support(self) -> tuple:
@@ -177,11 +187,14 @@ def triangular_bump(
     """Product of triangular profiles around ``center``, peak weight 1.
 
     Support is the ``(2 half_t + 1) x (2 half_x + 1)`` patch, wrapped on the
-    spatial circle; the time extent must fit inside the window.
+    spatial circle; the time extent must fit inside the window and the
+    spatial extent on the circle, so no two patch points share a site.
     """
     tc, xc = int(center[0]), int(center[1])
     if tc - half_t < 0 or tc + half_t >= lattice.n_steps:
         raise ValueError("bump time extent leaves the window")
+    if 2 * half_x + 1 > lattice.n_sites:
+        raise ValueError("bump spatial extent is wider than the circle")
     vals = {}
     for dt in range(-half_t, half_t + 1):
         for dx in range(-half_x, half_x + 1):
@@ -216,11 +229,13 @@ def retarded_green(lattice: LatticeSpec, src) -> np.ndarray:
 
 
 def _check_support(lattice: LatticeSpec, f: TestFunction, name: str):
-    p = _first_outside(lattice, f.ts, f.xs)
-    if p is not None:
+    t0, t1, x0, x1 = f.bounds
+    if t0 < 0 or t1 >= lattice.n_steps or x0 < 0 or x1 >= lattice.n_sites:
+        p = _first_outside(lattice, f.ts, f.xs)
         raise ValueError(f"support point {p} of {name} outside the window")
 
 
+@lru_cache(maxsize=16)
 def pauli_jordan(lattice: LatticeSpec, f: TestFunction, g: TestFunction) -> float:
     """Smeared commutator form Delta(f, g): retarded minus advanced response.
 
@@ -232,6 +247,10 @@ def pauli_jordan(lattice: LatticeSpec, f: TestFunction, g: TestFunction) -> floa
     terms ``f(p) g(q) E[|dt|, dx]``, negated where ``q`` is later, are added
     left to right in the order of the two ``values`` mappings (``f`` major),
     so the result is that of the plain double loop bit for bit.
+
+    Values are cached by ``(lattice, f, g)``, sixteen at a time.  Test
+    functions key by identity and are read-only, and the cache holds its keys
+    alive, so a hit returns exactly what the sum would give again.
     """
     _check_support(lattice, f, "f")
     _check_support(lattice, g, "g")

@@ -743,3 +743,69 @@ class TestReadme:
             if param != "—":
                 params[param] = REQUIRED if default == "required" else json.loads(default)
         assert listed == {n: {k: d for k, (d, _) in p.items()} for n, p in ZOO.items()}
+
+
+class TestLatticeSorkinOp:
+    """One ``lattice-sorkin`` op: its exact bits, and its Pauli-Jordan work."""
+
+    # 4x12 K on 64x24: both probes see K, so Delta(f, g) and Delta(f, h) are
+    # nonzero and the chain evaluates all four pairs (f,g), (f,h), (h,g), (h,f)
+    WIDE = {
+        "experiment": "lattice-sorkin",
+        "seed": 0,
+        "lattice": {"n_sites": 64, "n_steps": 24, "mass": 1.0},
+        "k_region": [[t, x] for t in range(8, 12) for x in range(20, 32)],
+        "lambdas": [-1.5, 0.0, 0.25, 1.0],
+        "require_nonzero": True,
+    }
+    # float.hex of (delta_fg, delta_fh, delta_hg, derivative) and of each
+    # row's (coeff_f, scalar), as the plain pair loop in pair order gives them
+    PINS = {
+        "readme": (
+            ("0x0.0p+0",) * 4,
+            [("0x0.0p+0", "0x0.0p+0")] * 3,
+        ),
+        "wide": (
+            ("-0x1.2ef9a6e971c01p-3", "0x1.2ef9a6e971c06p-3", "0x0.0p+0",
+             "0x1.6691f944e7541p-5"),
+            [
+                ("0x1.2ef9a6e971c01p-2", "-0x1.0ced7af3ad7f1p-4"),
+                ("0x1.2ef9a6e971c01p-2", "0x0.0p+0"),
+                ("0x1.2ef9a6e971c01p-2", "0x1.6691f944e7541p-7"),
+                ("0x1.2ef9a6e971c01p-2", "0x1.6691f944e7541p-5"),
+            ],
+        ),
+    }
+
+    def _config(self, name):
+        if name == "wide":
+            return self.WIDE
+        blocks = map(json.loads, re.findall(r"```json\n(.*?)```", _README.read_text(), re.S))
+        return next(b for b in blocks if b["experiment"] == "lattice-sorkin")
+
+    def _results(self, name, out_dir):
+        report, code = cli.run(ExperimentConfig.from_dict(self._config(name)), out_dir)
+        assert code == 0
+        return report["results"]
+
+    @pytest.mark.parametrize("name", ["readme", "wide"])
+    def test_exact_bits(self, name, tmp_path):
+        res = self._results(name, tmp_path)
+        deltas = tuple(
+            res[k].hex() for k in ("delta_fg", "delta_fh", "delta_hg", "derivative")
+        )
+        rows = [(r["coeff_f"].hex(), r["scalar"].hex()) for r in res["rows"]]
+        assert (deltas, rows) == self.PINS[name]
+
+    @pytest.mark.parametrize("name, pairs", [("readme", 3), ("wide", 4)])
+    def test_each_pair_is_evaluated_once(self, name, pairs, tmp_path, monkeypatch):
+        # every evaluation asks for its table once, cache hit or not; the
+        # README example never asks for (h, f): Delta(f, g) = 0 keeps f out
+        # of the chain's linear part
+        asked = []
+        table = lattice._base_table
+        monkeypatch.setattr(
+            lattice, "_base_table", lambda *key: asked.append(key) or table(*key)
+        )
+        self._results(name, tmp_path)
+        assert len(asked) == pairs

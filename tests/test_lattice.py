@@ -89,6 +89,12 @@ class TestGeometry:
         with pytest.raises(ValueError, match="mass"):
             LatticeSpec(8, 8, -1.0)
 
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
+    def test_mass_must_be_finite(self, mass):
+        # nan would make every Delta nan, inf an all-zero table: no signalling
+        with pytest.raises(ValueError, match="mass must be finite"):
+            LatticeSpec(8, 8, mass)
+
     def test_periodic_distance(self):
         lat = LatticeSpec(10, 4)
         assert lat.distance(1, 9) == 2
@@ -159,6 +165,11 @@ class TestTestFunction:
         with pytest.raises(ValueError, match="support"):
             TestFunction({})
 
+    def test_bounds_box_the_support(self):
+        f = TestFunction({(3, -2): 1.0, (7, 5): 2.0, (-1, 4): 0.5, (10**23, 0): 1.0})
+        assert f.bounds == (-1, 10**23, -2, 5)
+        assert all(type(v) is int for v in f.bounds)
+
     def test_triangular_bump_profile(self):
         b = triangular_bump(LAT, (5, 0), 1, 1)
         assert b.values[(5, 0)] == 1.0
@@ -170,6 +181,14 @@ class TestTestFunction:
     def test_triangular_bump_window_check(self):
         with pytest.raises(ValueError, match="window"):
             triangular_bump(LAT, (0, 0), 1, 1)
+
+    def test_triangular_bump_fills_the_circle_at_most(self):
+        # 11 sites on a circle of 8 would collide and keep only the last weight
+        with pytest.raises(ValueError, match="wider than the circle"):
+            triangular_bump(LatticeSpec(8, 10), (4, 2), 1, 5)
+        b = triangular_bump(LatticeSpec(9, 10), (4, 2), 1, 4)
+        assert len(b.values) == 3 * 9
+        assert {x for _, x in b.support} == set(range(9))
 
 
 class TestRetardedGreen:
@@ -268,6 +287,18 @@ class TestPauliJordan:
     def test_rejects_support_outside_window(self):
         with pytest.raises(ValueError, match="window"):
             pauli_jordan(LAT, _delta(0, 0), _delta(20, 0))
+
+    def test_support_on_every_window_edge(self):
+        corners = [(0, 0), (0, 23), (11, 0), (11, 23), (5, 0), (0, 12)]
+        f = TestFunction({p: 1.0 + i for i, p in enumerate(corners)})
+        g = TestFunction({(6, 12): 1.0, (11, 11): -0.5})
+        for a, b in ((f, g), (g, f)):
+            assert pauli_jordan(LAT, a, b) == _loop_pauli_jordan(LAT, a, b)
+        for p in [(-1, 0), (12, 0), (0, -1), (0, 24)]:
+            bad = TestFunction({**dict.fromkeys(corners, 1.0), p: 1.0})
+            with pytest.raises(ValueError) as got:
+                pauli_jordan(LAT, f, bad)
+            assert str(got.value) == f"support point {p} of g outside the window"
 
     def test_names_first_outside_point_in_sorted_order(self):
         bad = TestFunction({(30, 0): 1.0, (3, 4): 1.0, (-1, 3): 1.0, (2, 24): 1.0})
@@ -458,9 +489,13 @@ class TestReferenceForms:
 
     @staticmethod
     def _same(lat, f, g):
-        got, want = pauli_jordan(lat, f, g), _loop_pauli_jordan(lat, f, g)
-        assert type(got) is float
-        assert got == want and np.signbit(got) == np.signbit(want)
+        want = _loop_pauli_jordan(lat, f, g)
+        for _ in range(2):  # the evaluation, then its cached value
+            hits = pauli_jordan.cache_info().hits
+            got = pauli_jordan(lat, f, g)
+            assert type(got) is float
+            assert got == want and np.signbit(got) == np.signbit(want)
+        assert pauli_jordan.cache_info().hits == hits + 1
         return got
 
     def test_pauli_jordan_matches_pair_loop(self):
