@@ -37,7 +37,6 @@ from .channels import (
     kraus_to_choi,
     local_random_channel,
     mix,
-    product_unitary_channel,
     swap_channel,
     zoo,
 )
@@ -50,8 +49,6 @@ from .lattice import (
     build_scenario,
     gaussian_square_conjugate,
     pauli_jordan,
-    reaches,
-    retarded_green,
     signalling_derivative,
     sorkin_chain,
     spacelike,
@@ -64,8 +61,6 @@ from .sampling import (
     haar_local_unitary,
     haar_unitary,
     measure_zero_experiment,
-    random_density,
-    random_hermitian,
     random_kraus_channel,
     random_sorkin_scenario,
 )
@@ -76,7 +71,6 @@ from .tensor import (
     all_bipartitions,
     check_density,
     embed_operator,
-    frobenius_inner,
     from_re_im,
     hermitian_basis,
     is_hermitian,

@@ -42,7 +42,6 @@ from .tensor import (
     partial_trace,
     polar_unitary,
     realign,
-    to_re_im,
     trace_norm,
 )
 
@@ -143,13 +142,6 @@ class SignallingReport:
     direction: tuple[tuple[int, ...], tuple[int, ...]]  # (sender, receiver) sites
     strength: float
     witness: np.ndarray  # Hermitian, unit Frobenius norm, on the receiver factor
-
-    def to_json(self) -> dict:
-        return {
-            "direction": [list(self.direction[0]), list(self.direction[1])],
-            "strength": float(self.strength),
-            "witness": to_re_im(self.witness),
-        }
 
 
 def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:

@@ -1,9 +1,7 @@
 """Unital completely positive maps in the Heisenberg picture.
 
 A channel is stored by its Kraus family ``{K_i}`` and acts on observables as
-``O -> sum_i K_i^+ O K_i`` with ``sum_i K_i^+ K_i = 1`` (unitality).  The
-Heisenberg picture is primary throughout the package; the Schroedinger dual
-``rho -> sum_i K_i rho K_i^+`` is provided for cross-checks only.
+``O -> sum_i K_i^+ O K_i`` with ``sum_i K_i^+ K_i = 1`` (unitality).
 
 The Choi matrix, a plain ``(D^2, D^2)`` array, is ``J = sum_ij |i><j| (x)
 Phi(|i><j|)`` with no normalization factor, so the identity channel has ``J``
@@ -79,12 +77,6 @@ class KrausChannel:
         return sum(
             k.conj().swapaxes(-1, -2) @ op @ k for k in np.moveaxis(self.kraus, -3, 0)
         )
-
-    def apply_schrodinger(self, rho) -> np.ndarray:
-        """Dual (state) action sum_i K_i rho K_i^+; for tests and cross-checks."""
-        ks = self.single()
-        rho = np.asarray(rho, dtype=complex)
-        return np.einsum("kij,jl,kml->im", ks, rho, ks.conj())
 
     def to_json(self) -> dict:
         """Wire format: dims plus each Kraus operator as rows of [re, im] pairs."""
@@ -192,18 +184,6 @@ def mix(a: KrausChannel, b: KrausChannel, p: float) -> KrausChannel:
 
 def identity_channel(dims: SystemDims) -> KrausChannel:
     return KrausChannel([np.eye(dims.total)], dims)
-
-
-def product_unitary_channel(unitaries, dims: SystemDims | None = None) -> KrausChannel:
-    """Conjugation by a tensor product of local unitaries, one per site."""
-    if dims is None:
-        dims = SystemDims(tuple(np.asarray(u).shape[0] for u in unitaries))
-    if len(unitaries) != dims.nsites:
-        raise ValueError("need exactly one local unitary per site")
-    for i, u in enumerate(unitaries):
-        if np.asarray(u).shape != (dims.dims[i], dims.dims[i]):
-            raise ValueError(f"factor {i} has wrong shape for dims {dims.dims}")
-    return from_unitary(tensor_product(*unitaries), dims)
 
 
 def cnot_channel() -> KrausChannel:

@@ -594,7 +594,11 @@ EXPERIMENTS = {
 
 
 def run(cfg: ExperimentConfig, out_dir: Path):
-    """Execute one experiment; returns (report dict, exit code)."""
+    """Execute one experiment; returns (report dict, exit code).
+
+    A report that would hold NaN or an infinity, which JSON cannot encode,
+    raises ``ValueError`` and is not written.
+    """
     start = time.perf_counter()
     runner = EXPERIMENTS[cfg.experiment][0]
     results, passed = runner(cfg, out_dir)
@@ -608,8 +612,11 @@ def run(cfg: ExperimentConfig, out_dir: Path):
         "wall_time_s": time.perf_counter() - start,
     }
     report_name = cfg.output.get("report", f"{cfg.experiment}-report.json")
-    path = out_dir / report_name
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError("the report would hold a non-finite number") from exc
+    (out_dir / report_name).write_text(text + "\n")
     return report, (0 if passed else 2)
 
 
@@ -638,6 +645,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("config is nested too deeply to parse") from exc
         cfg = ExperimentConfig.from_dict(raw)
         if cfg.experiment != args.experiment:
             raise ConfigError(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,20 +47,10 @@ class LatticeSpec:
         if self.mass < 0:
             raise ValueError("mass must be non-negative")
 
-    def in_window(self, point) -> bool:
-        t, x = point
-        return 0 <= t < self.n_steps and 0 <= x < self.n_sites
-
     def distance(self, x0: int, x1: int) -> int:
         """Periodic (wraparound-minimized) spatial distance."""
         d = abs(int(x0) - int(x1)) % self.n_sites
         return min(d, self.n_sites - d)
-
-
-def reaches(lattice: LatticeSpec, p, q) -> bool:
-    """True if q lies in the forward stencil cone of p (inclusive)."""
-    dt = q[0] - p[0]
-    return dt >= 0 and lattice.distance(p[1], q[1]) <= dt
 
 
 def spacelike(lattice: LatticeSpec, p, q) -> bool:
@@ -77,8 +68,8 @@ def _int_array(values) -> np.ndarray:
 
 def _separations(lattice: LatticeSpec, ps, qs):
     """``q_t - p_t`` and the periodic distance of every pair, ``[i, j]`` for
-    ``(ps[i], qs[j])``: the array form of :func:`reaches` and
-    :func:`spacelike` over two point sets."""
+    ``(ps[i], qs[j])``: the array form of :func:`spacelike` and of
+    :func:`_any_reaches` over two point sets."""
     ps, qs = _int_array(ps), _int_array(qs)
     dt = qs[None, :, 0] - ps[:, None, 0]
     dx = np.abs(qs[None, :, 1] - ps[:, None, 1]) % lattice.n_sites
@@ -86,8 +77,9 @@ def _separations(lattice: LatticeSpec, ps, qs):
 
 
 def _any_reaches(lattice: LatticeSpec, ps, qs) -> bool:
-    """True if some point of ``qs`` lies in the forward cone of some point of
-    ``ps``: ``any(reaches(lattice, p, q) for p in ps for q in qs)``."""
+    """True if some point of ``qs`` lies in the forward stencil cone of some
+    point of ``ps`` (inclusive): ``0 <= q_t - p_t`` and the periodic distance
+    at most ``q_t - p_t``."""
     dt, dist = _separations(lattice, ps, qs)
     return bool(((dt >= 0) & (dist <= dt)).any())
 
@@ -116,26 +108,6 @@ class Region:
         dt, dist = _separations(lattice, self.points, other.points)
         return bool((dist > np.abs(dt)).all())
 
-    def _cone(self, lattice: LatticeSpec, forward: bool) -> "Region":
-        t_grid, x_grid = np.meshgrid(
-            np.arange(lattice.n_steps), np.arange(lattice.n_sites), indexing="ij"
-        )
-        mask = np.zeros_like(t_grid, dtype=bool)
-        for t0, x0 in self.points:
-            dt = (t_grid - t0) if forward else (t0 - t_grid)
-            dx = np.abs(x_grid - x0) % lattice.n_sites
-            dist = np.minimum(dx, lattice.n_sites - dx)
-            mask |= (dt >= 0) & (dist <= dt)
-        return Region(zip(t_grid[mask].tolist(), x_grid[mask].tolist()))
-
-    def causal_future(self, lattice: LatticeSpec) -> "Region":
-        """All window points reachable from the region (inclusive)."""
-        return self._cone(lattice, forward=True)
-
-    def causal_past(self, lattice: LatticeSpec) -> "Region":
-        """All window points that can reach the region (inclusive)."""
-        return self._cone(lattice, forward=False)
-
 
 @dataclass(eq=False)
 class TestFunction:
@@ -159,9 +131,9 @@ class TestFunction:
     bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.values = {
-            (int(t), int(x)): float(v) for (t, x), v in self.values.items()
-        }
+        self.values = MappingProxyType(
+            {(int(t), int(x)): float(v) for (t, x), v in self.values.items()}
+        )
         if not self.values:
             raise ValueError("a test function needs at least one support point")
         points = _int_array(list(self.values))
@@ -212,22 +184,6 @@ def _base_table(n_sites: int, n_rows: int, mass: float) -> np.ndarray:
     return table
 
 
-def retarded_green(lattice: LatticeSpec, src) -> np.ndarray:
-    """Field history (n_steps, n_sites) of a unit momentum kick at ``src``.
-
-    The history vanishes at and before the source time, equals the unit time
-    step at the source point one step later, and vanishes identically outside
-    the forward cone of one site per step.
-    """
-    t0, x0 = int(src[0]), int(src[1])
-    if not lattice.in_window((t0, x0)):
-        raise ValueError(f"source {src} outside the lattice window")
-    base = _base_table(lattice.n_sites, lattice.n_steps, lattice.mass)
-    out = np.zeros_like(base)
-    out[t0:] = np.roll(base[: lattice.n_steps - t0], x0, axis=1)
-    return out
-
-
 def _check_support(lattice: LatticeSpec, f: TestFunction, name: str):
     t0, t1, x0, x1 = f.bounds
     if t0 < 0 or t1 >= lattice.n_steps or x0 < 0 or x1 >= lattice.n_sites:
@@ -239,9 +195,11 @@ def _check_support(lattice: LatticeSpec, f: TestFunction, name: str):
 def pauli_jordan(lattice: LatticeSpec, f: TestFunction, g: TestFunction) -> float:
     """Smeared commutator form Delta(f, g): retarded minus advanced response.
 
-    ``Delta(f, g) = sum_pq f(p) g(q) [G_R(p, q) - G_R(q, p)]`` where ``G_R``
-    is the retarded table of :func:`retarded_green`.  Antisymmetric in its
-    arguments, bilinear, and exactly zero for spacelike separated supports.
+    ``Delta(f, g) = sum_pq f(p) g(q) [G_R(p, q) - G_R(q, p)]`` where the
+    retarded response ``G_R(p, q)`` to a unit momentum kick at ``q`` is the
+    :func:`_base_table` entry ``E[t_p - t_q, x_p - x_q mod n_sites]`` for
+    ``t_p > t_q`` and zero otherwise.  Antisymmetric in its arguments,
+    bilinear, and exactly zero for spacelike separated supports.
 
     Only the table rows ``|dt| <= max |t_p - t_q|`` are built.  The pair
     terms ``f(p) g(q) E[|dt|, dx]``, negated where ``q`` is later, are added

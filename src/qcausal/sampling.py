@@ -121,23 +121,11 @@ def haar_local_unitary(dims: SystemDims, rng) -> np.ndarray:
     return tensor_product(*[haar_unitary(d, rng) for d in dims.dims])
 
 
-def random_density(n: int, rng) -> np.ndarray:
-    """Trace-normalized Wishart state G G^+ / tr(G G^+) from a Ginibre draw."""
-    rng = _as_generator(rng)
-    return _density(_ginibre(rng.standard_normal((2, n, n))))
-
-
 def random_kraus_channel(dims: SystemDims, nkraus: int, rng) -> KrausChannel:
     """Random unital channel: Ginibre Kraus draws right-normalized to unitality."""
     rng = _as_generator(rng)
     d = dims.total
     return KrausChannel(_unital(_ginibre(rng.standard_normal((nkraus, 2, d, d)))), dims)
-
-
-def random_hermitian(n: int, rng) -> np.ndarray:
-    """Gaussian Hermitian matrix (GUE-style, unnormalized)."""
-    rng = _as_generator(rng)
-    return _hermitian_part(_complex(rng.standard_normal((2, n, n))))
 
 
 def random_sorkin_scenario(

@@ -74,12 +74,6 @@ class SystemDims:
         """Dimension of the tensor factor on ``sites``; 1 for no sites."""
         return math.prod(self.dims[s] for s in sites)
 
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -279,11 +273,6 @@ def hermitian_basis(d: int) -> np.ndarray:
         # divides through the reciprocal; -l / sqrt(l (l + 1)) differs from l = 3
         diag[l, l] = -l * scale
     return basis
-
-
-def frobenius_inner(a, b) -> complex:
-    """Frobenius inner product tr(a^+ b), conjugate-linear in the first slot."""
-    return complex(np.vdot(np.asarray(a), np.asarray(b)))
 
 
 def trace_norm(m) -> float:

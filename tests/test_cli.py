@@ -169,6 +169,16 @@ class TestExitCodes:
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_config_is_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        deep = "[" * 100000 + "]" * 100000
+        path.write_text(
+            f'{{"experiment": "check-causal", "seed": 3, "dims": [2, 2], "unitary": {deep}}}'
+        )
+        code = main(["check-causal", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: config is nested too deeply to parse\n"
+
     def test_subcommand_mismatch_is_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _haar_cfg())
         code = main(["check-causal", "--config", cfg, "--out-dir", str(tmp_path)])
@@ -796,6 +806,18 @@ class TestLatticeSorkinOp:
         )
         rows = [(r["coeff_f"].hex(), r["scalar"].hex()) for r in res["rows"]]
         assert (deltas, rows) == self.PINS[name]
+
+    # -2 lam overflows: an infinity, or NaN where Delta(f, g) Delta(f, h) = 0
+    @pytest.mark.parametrize("name", ["readme", "wide"])
+    def test_non_finite_report_is_one(self, name, tmp_path, capsys):
+        cfg = dict(self._config(name), lambdas=[1e308, -1e308])
+        path = _write(tmp_path, "c.json", cfg)
+        code = main(["lattice-sorkin", "--config", path, "--out-dir", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the report would hold a non-finite number\n"
+        assert not (tmp_path / "lattice-sorkin-report.json").exists()
 
     @pytest.mark.parametrize("name, pairs", [("readme", 3), ("wide", 4)])
     def test_each_pair_is_evaluated_once(self, name, pairs, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Fuzz test over the config table: configs drawn from ``EXPERIMENTS``,
-well-formed or broken, must run to PASS/FAIL or exit 1 with an ``error:``
-line; no exception may escape ``main``."""
+well-formed or broken, must run to PASS/FAIL with a report of plain JSON or
+exit 1 with an ``error:`` line and no report; no exception may escape
+``main``."""
 
 import contextlib
 import io
@@ -98,7 +99,7 @@ _TINY = {
         "lattice": [{"n_sites": 64, "n_steps": 16}, {"n_sites": 64, "n_steps": 16, "mass": 0.5}],
         "k_region": [[[6, 20], [6, 21]], [[t, x] for t in (6, 7) for x in range(20, 41)]],
         "build_opts": [{}, {"time_gap": 2, "bump_half_x": 1}],
-        "lambdas": [[0.0, 1.0], []],
+        "lambdas": [[0.0, 1.0], [], [1e308]],
         "identity_atol": [1e-12, 1e-9],
         "require_nonzero": [False, True],
     },
@@ -140,6 +141,10 @@ def _configs(draw):
     return name, cfg, how == "none"
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
 class TestConfigTable:
     def test_tiny_values_cover_the_table(self):
         for name, (_, _, fields) in EXPERIMENTS.items():
@@ -158,6 +163,10 @@ class TestConfigTable:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([name, "--config", str(path), "--out-dir", d])
+            reports = [p for p in Path(d).glob("*.json") if p != path]
+            for report in reports:
+                json.loads(report.read_text(), parse_constant=_refuse_constant)
+        assert len(reports) == (code != 1)
         event(f"well-formed={well_formed}, exit {code}")
         out, err = out.getvalue(), err.getvalue()
         if code == 1:

@@ -17,8 +17,6 @@ from qcausal.sampling import (
     haar_local_unitary,
     haar_unitary,
     measure_zero_experiment,
-    random_density,
-    random_hermitian,
     random_kraus_channel,
     random_sorkin_scenario,
 )
@@ -99,20 +97,10 @@ class TestOtherSamplers:
             s = operator_schmidt_values(u, part)
             assert s[1] < 1e-12
 
-    def test_random_density(self):
-        rho = random_density(5, RngStream(44))
-        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
-        np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-14)
-        assert np.linalg.eigvalsh(rho).min() > -1e-14
-
     def test_random_kraus_channel_is_unital(self):
         c = random_kraus_channel(SystemDims((2, 3)), 4, RngStream(45))
         np.testing.assert_allclose(c.apply(np.eye(6)), np.eye(6), atol=1e-10)
         assert c.nkraus == 4
-
-    def test_random_hermitian(self):
-        h = random_hermitian(4, RngStream(46))
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
     def test_random_scenario_is_admissible(self):
         part = Bipartition.split(SystemDims((2, 3)), (0,))
@@ -227,8 +215,6 @@ class TestStackedScenarios:
         kraus = _frozen_unital([_frozen_ginibre(a, 6) for _ in range(2)])
         got = random_kraus_channel(SystemDims((2, 3)), 2, b).kraus
         assert np.array_equal(got, kraus)
-        assert np.array_equal(random_density(5, b), _frozen_density(a, 5))
-        assert np.array_equal(random_hermitian(4, b), _frozen_hermitian(a, 4))
         q, r = np.linalg.qr(_frozen_ginibre(a, 3))
         diag = np.diagonal(r)
         assert np.array_equal(haar_unitary(3, b), q * (diag / np.abs(diag)))

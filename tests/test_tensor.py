@@ -9,7 +9,6 @@ from qcausal.tensor import (
     all_bipartitions,
     check_density,
     embed_operator,
-    frobenius_inner,
     hermitian_basis,
     is_hermitian,
     is_unitary,
@@ -28,7 +27,7 @@ class TestSystemDims:
         d = SystemDims((2, 3))
         assert d.total == 6
         assert d.nsites == 2
-        assert tuple(d) == (2, 3)
+        assert d.dims == (2, 3)
 
     def test_rejects_trivial_site(self):
         with pytest.raises(ValueError):
@@ -249,8 +248,8 @@ class TestReferenceForms:
             rest = [s for s in range(dims.nsites) if s not in sites]
             ds = dims.block_dim(sites)
             a = rng.standard_normal((ds, ds)) + 1j * rng.standard_normal((ds, ds))
-            lhs = frobenius_inner(embed_operator(a, sites, dims), b)
-            rhs = frobenius_inner(a, partial_trace(b, dims, rest))
+            lhs = np.vdot(embed_operator(a, sites, dims), b)
+            rhs = np.vdot(a, partial_trace(b, dims, rest))
             assert abs(lhs - rhs) <= 1e-12 * d * np.abs(b).max() * np.abs(a).max()
 
 
@@ -377,11 +376,6 @@ class TestHermitianBasis:
 
 
 class TestSmallHelpers:
-    def test_frobenius_inner(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(frobenius_inner(a, b), np.trace(a.conj().T @ b))
-
     def test_trace_norm(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         np.testing.assert_allclose(
