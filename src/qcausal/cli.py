@@ -25,9 +25,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +284,103 @@ def emit_csv(records, path: Path):
             [format(v, ".17g") if isinstance(v, float) else v for v in rec.values()]
             for rec in records
         )
+
+
+# ---------------------------------------------------------------------------
+# the report writer: the bytes of json.dumps(v, indent=2, sort_keys=True,
+# allow_nan=False), which with any indent runs CPython's pure-Python encoder
+# ---------------------------------------------------------------------------
+
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps calls
+# every character the repr of a list of finite ints and floats can hold
+_NUMBER_LIST = re.compile(r"[0-9.e+\-\[\], ]*")
+
+
+def _encode(v, nl: str) -> str:
+    """``v`` laid out as ``json.dumps`` with ``indent=2`` lays it out, ``nl``
+    being a newline and the indent of the line ``v`` starts on.
+
+    A non-finite float raises ``ValueError``; a type that ``json.dumps``
+    refuses, or a dict key that is not a string, raises ``TypeError``.
+    """
+    if isinstance(v, str):
+        return _escape(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError("the report would hold a non-finite number")
+        return float.__repr__(v)
+    inner = nl + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        text = _number_array(v, nl) if type(v) is list else None
+        if text is not None:
+            return text
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in v]) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        # _escape raises TypeError on a key that is not a string
+        items = [_escape(k) + ": " + _encode(x, inner) for k, x in sorted(v.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _number_array(v: list, nl: str):
+    """The layout of ``v`` if it is a list of ints and floats, all nested
+    equally deep and all finite, else None.
+
+    Such a list prints with ``repr`` as ``json.dumps`` without an indent
+    prints it; its separators, one form per nesting level, are then swapped
+    for their indented forms.
+    """
+    first = v
+    while type(first) is list and first:
+        first = first[0]
+    if type(first) is not int and type(first) is not float:
+        return None
+    text = repr(v)  # nan, inf, True, np.float64(...), quotes, braces fail here
+    if not _NUMBER_LIST.fullmatch(text) or "[]" in text:
+        return None
+    depth = len(text) - len(text.lstrip("["))
+    start, seps, end = _array_layout(nl, depth)
+    body = text[depth:-depth]
+    # outermost separators first: each holds the inner ones; a bracket left
+    # over once all are marked means leaves at more than one depth
+    for mark, (sep, _) in enumerate(seps):
+        body = body.replace(sep, chr(mark))
+    if "[" in body or "]" in body:
+        return None
+    for mark, (_, indented) in enumerate(seps):
+        body = body.replace(chr(mark), indented)
+    return start + body + end
+
+
+@lru_cache(maxsize=64)
+def _array_layout(nl: str, depth: int):
+    """Opening run, ``(repr separator, indented separator)`` per level from
+    the outermost, and closing run of a ``depth``-deep number array at ``nl``."""
+    ind = [nl + "  " * j for j in range(depth + 1)]
+
+    def opening(k):  # "[" of the levels below k, each with its items' indent
+        return "".join("[" + ind[j] for j in range(k + 1, depth + 1))
+
+    def closing(k):  # "]" of the levels below k, each on its own line
+        return "".join(ind[j] + "]" for j in range(depth - 1, k - 1, -1))
+
+    seps = [
+        ("]" * (depth - k) + ", " + "[" * (depth - k), closing(k) + "," + ind[k] + opening(k))
+        for k in range(1, depth + 1)
+    ]
+    return opening(0), seps, closing(0)
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +712,7 @@ def run(cfg: ExperimentConfig, out_dir: Path):
         "wall_time_s": time.perf_counter() - start,
     }
     report_name = cfg.output.get("report", f"{cfg.experiment}-report.json")
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError("the report would hold a non-finite number") from exc
-    (out_dir / report_name).write_text(text + "\n")
+    (out_dir / report_name).write_text(_encode(report, "\n") + "\n")
     return report, (0 if passed else 2)
 
 

@@ -40,6 +40,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.n_sites < 3:
             raise ValueError("need at least 3 spatial sites")
+        if self.n_sites > np.iinfo(np.int64).max:  # site arithmetic is int64
+            raise ValueError("n_sites must be at most 2**63 - 1")
         if self.n_steps < 2:
             raise ValueError("need at least 2 time steps")
         if not math.isfinite(self.mass):
@@ -280,6 +282,19 @@ def gaussian_square_conjugate(a: AffineField, f: TestFunction, s: float) -> Affi
     return AffineField(a.lattice, a.scalar, linear)
 
 
+@lru_cache(maxsize=16)
+def _spacelike_supports(
+    lattice: LatticeSpec, g: TestFunction, h: TestFunction
+) -> bool:
+    """True if the supports of the test functions ``g`` and ``h`` are
+    spacelike separated.
+
+    Cached like :func:`pauli_jordan`: keys hash by identity, are read-only
+    and are held alive, so one op's chains check its (g, h) pair once.
+    """
+    return g.region().spacelike_separated(h.region(), lattice)
+
+
 def sorkin_chain(
     lattice: LatticeSpec,
     f: TestFunction,
@@ -303,7 +318,7 @@ def sorkin_chain(
     _check_support(lattice, f, "f")
     _check_support(lattice, g, "g")
     _check_support(lattice, h, "h")
-    if not g.region().spacelike_separated(h.region(), lattice):
+    if not _spacelike_supports(lattice, g, h):
         raise ValueError("supports of h and g must be spacelike separated")
     out = AffineField.phi(lattice, g)
     out = gaussian_square_conjugate(out, f, 1.0)
@@ -401,7 +416,7 @@ def build_scenario(
             )
         h = triangular_bump(lattice, (th, xh), opts.bump_half_t, opts.bump_half_x)
         g = triangular_bump(lattice, (tg, xg), opts.bump_half_t, opts.bump_half_x)
-        if g.region().spacelike_separated(h.region(), lattice):
+        if _spacelike_supports(lattice, g, h):
             break
         xh -= 1
         xg += 1

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal import cli, lattice
 from qcausal.cli import (
@@ -29,6 +31,14 @@ from qcausal.sampling import (
     random_kraus_channel,
 )
 from qcausal.tensor import SystemDims, to_re_im
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+# the README's example config of each experiment, by experiment name
+_README_EXAMPLES = {
+    b["experiment"]: b
+    for b in map(json.loads, re.findall(r"```json\n(.*?)```", _README.read_text(), re.S))
+}
 
 
 def _write(tmp_path, name, data):
@@ -395,10 +405,11 @@ class TestReports:
         assert report["wall_time_s"] > 0
         assert report["results"]["count_product_within_tol"] == 0
 
-    def test_sorted_keys_and_trailing_newline(self, tmp_path):
-        cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=4))
-        main(["sample-haar", "--config", cfg, "--out-dir", str(tmp_path)])
-        text = (tmp_path / "sample-haar-report.json").read_text()
+    @pytest.mark.parametrize("name", sorted(_README_EXAMPLES))
+    def test_sorted_keys_and_trailing_newline(self, name, tmp_path):
+        cfg = _write(tmp_path, "c.json", _README_EXAMPLES[name])
+        assert main([name, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / f"{name}-report.json").read_text()
         assert text.endswith("\n")
         parsed = json.loads(text)
         assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
@@ -424,6 +435,87 @@ class TestReports:
         assert (tmp_path / "a" / "sample-haar-samples.csv").read_bytes() == (
             tmp_path / "b" / "sample-haar-samples.csv"
         ).read_bytes()
+
+
+# Values for the report writer.  Numbers cover both ends of the float range,
+# signed zero and ints past 64 bits; strings hold what json must escape.
+_NUMBERS = st.integers(-(2**70), 2**70) | st.floats(
+    allow_nan=False, allow_infinity=False
+) | st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | _NUMBERS
+    | st.text()
+    | st.sampled_from(['"', "\\", '", "', "\x00\x1f\n\t", "é☃\U0001f600", "[1, 2]"])
+)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@st.composite
+def _number_arrays(draw, ragged=False):
+    """A list of numbers 1-3 deep, all leaves equally deep; with ``ragged``
+    the sublists of one level may differ in length."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+    def build(level):
+        if level == len(shape):
+            return draw(_NUMBERS)
+        n = draw(st.integers(1, 4)) if ragged else shape[level]
+        return [build(level + 1) for _ in range(n)]
+
+    return build(0)
+
+
+_ARRAYS = (
+    _number_arrays()
+    | _number_arrays(ragged=True)
+    | st.recursive(_NUMBERS, lambda c: st.lists(c, min_size=1, max_size=3), max_leaves=12)
+    | st.sampled_from(
+        [[], [[]], [[], [1]], [[1], []], [[1], [], [2]], [1, [2]], [1, True], [[1, 2], [3.5, None]]]
+    )
+)
+_VALUES = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda c: st.lists(c, max_size=4)
+    | st.lists(c, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), c, max_size=4),
+    max_leaves=30,
+)
+
+
+def _dumps(v):
+    return json.dumps(v, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestReportWriter:
+    """``cli._encode`` against its oracle, ``json.dumps``."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(_VALUES)
+    def test_bytes_equal_json_dumps(self, v):
+        assert cli._encode(v, "\n") == _dumps(v)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(_VALUES, _number_arrays(), _NON_FINITE, st.data())
+    def test_non_finite_raises(self, v, array, bad, data):
+        # bad at a drawn leaf of a number array, the array inside any value
+        inner = array
+        while type(inner[0]) is list:
+            inner = inner[data.draw(st.integers(0, len(inner) - 1))]
+        inner[data.draw(st.integers(0, len(inner) - 1))] = bad
+        for poisoned in (array, [v, array], {"a": v, "b": {"c": array}}, bad):
+            with pytest.raises(ValueError):
+                _dumps(poisoned)
+            with pytest.raises(ValueError, match="non-finite"):
+                cli._encode(poisoned, "\n")
+
+    # a report's keys are strings: the writer does not convert others, as
+    # json.dumps would
+    @pytest.mark.parametrize("v", [{1: 2}, {"a": {1, 2}}, [np.float32(1)], [np.int64(1)]])
+    def test_refuses_other_types(self, v):
+        with pytest.raises(TypeError):
+            cli._encode(v, "\n")
 
 
 class TestCsv:
@@ -698,15 +790,10 @@ def test_console_script_entry_point(tmp_path):
     assert out.stdout.strip() == "sample-haar: PASS"
 
 
-_README = Path(__file__).resolve().parents[1] / "README.md"
-
-
 def test_entry_module_runs_from_source(tmp_path):
     # the module's own `sys.exit(main())`, without an installed script
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    blocks = re.findall(r"```json\n(.*?)```", _README.read_text(), re.S)
-    example = next(b for b in map(json.loads, blocks) if b["experiment"] == "perturb-ball")
-    cfg = _write(tmp_path, "c.json", example)
+    cfg = _write(tmp_path, "c.json", _README_EXAMPLES["perturb-ball"])
 
     def qcausal(*args):
         return subprocess.run(
@@ -788,10 +875,7 @@ class TestLatticeSorkinOp:
     }
 
     def _config(self, name):
-        if name == "wide":
-            return self.WIDE
-        blocks = map(json.loads, re.findall(r"```json\n(.*?)```", _README.read_text(), re.S))
-        return next(b for b in blocks if b["experiment"] == "lattice-sorkin")
+        return self.WIDE if name == "wide" else _README_EXAMPLES["lattice-sorkin"]
 
     def _results(self, name, out_dir):
         report, code = cli.run(ExperimentConfig.from_dict(self._config(name)), out_dir)
@@ -818,6 +902,21 @@ class TestLatticeSorkinOp:
         assert out == ""
         assert err == "error: the report would hold a non-finite number\n"
         assert not (tmp_path / "lattice-sorkin-report.json").exists()
+
+    def test_spacelike_check_runs_once_per_placement(self, tmp_path, monkeypatch):
+        # build_scenario checks each placement's fresh (g, h); the op's four
+        # chains, one per lambda and the derivative's, find the verdict cached
+        bumps, checks = [], []
+        bump, check = lattice.triangular_bump, lattice.Region.spacelike_separated
+        monkeypatch.setattr(lattice, "triangular_bump", lambda *a: bumps.append(a) or bump(*a))
+        monkeypatch.setattr(
+            lattice.Region, "spacelike_separated", lambda *a: checks.append(a) or check(*a)
+        )
+        lattice._spacelike_supports.cache_clear()
+        self._results("readme", tmp_path)
+        info = lattice._spacelike_supports.cache_info()
+        assert len(checks) == info.misses == len(bumps) // 2
+        assert info.hits == 4
 
     @pytest.mark.parametrize("name, pairs", [("readme", 3), ("wide", 4)])
     def test_each_pair_is_evaluated_once(self, name, pairs, tmp_path, monkeypatch):

@@ -96,7 +96,11 @@ _TINY = {
     "lattice-sorkin": {
         "seed": [0, 5],
         "output": [{}],
-        "lattice": [{"n_sites": 64, "n_steps": 16}, {"n_sites": 64, "n_steps": 16, "mass": 0.5}],
+        "lattice": [
+            {"n_sites": 64, "n_steps": 16},
+            {"n_sites": 64, "n_steps": 16, "mass": 0.5},
+            {"n_sites": 2**63, "n_steps": 16},  # wider than int64 site arithmetic
+        ],
         "k_region": [[[6, 20], [6, 21]], [[t, x] for t in (6, 7) for x in range(20, 41)]],
         "build_opts": [{}, {"time_gap": 2, "bump_half_x": 1}],
         "lambdas": [[0.0, 1.0], [], [1e308]],
@@ -165,7 +169,9 @@ class TestConfigTable:
                 code = main([name, "--config", str(path), "--out-dir", d])
             reports = [p for p in Path(d).glob("*.json") if p != path]
             for report in reports:
-                json.loads(report.read_text(), parse_constant=_refuse_constant)
+                text = report.read_text()
+                parsed = json.loads(text, parse_constant=_refuse_constant)
+                assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
         assert len(reports) == (code != 1)
         event(f"well-formed={well_formed}, exit {code}")
         out, err = out.getvalue(), err.getvalue()

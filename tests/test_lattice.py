@@ -109,6 +109,13 @@ class TestGeometry:
         with pytest.raises(ValueError, match="mass"):
             LatticeSpec(8, 8, -1.0)
 
+    def test_n_sites_fits_int64(self):
+        # site arithmetic runs in int64: a wider circle overflowed in
+        # _separations with a traceback instead of a refusal
+        assert LatticeSpec(2**63 - 1, 8).n_sites == 2**63 - 1
+        with pytest.raises(ValueError, match="n_sites must be at most 2\\*\\*63 - 1"):
+            LatticeSpec(2**63, 8)
+
     @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
     def test_mass_must_be_finite(self, mass):
         # nan would make every Delta nan, inf an all-zero table: no signalling
