@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -107,7 +109,20 @@ class ExperimentConfig:
             )
         del p["experiment"]
         seed, output = p.pop("seed"), p.pop("output")
-        return cls(experiment=name, seed=seed, params=p, output=output, raw=data)
+        cfg = cls(experiment=name, seed=seed, params=p, output=output, raw=data)
+        if cfg.csv_name == cfg.report_name:  # the report would overwrite the CSV
+            raise ConfigError(
+                f"the report and the CSV would both be written to {cfg.report_name!r}"
+            )
+        return cfg
+
+    @property
+    def report_name(self) -> str:
+        return self.output.get("report", f"{self.experiment}-report.json")
+
+    @property
+    def csv_name(self) -> str:
+        return self.output.get("csv", f"{self.experiment}-samples.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +210,9 @@ _EPSILONS = _rule(
 _WEIGHT = _rule("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1, float)
 _FLAG = _rule("true or false", lambda v: type(v) is bool)
 _TEXT = _rule("a string", lambda v: type(v) is str)
-_FILE = _rule("a file name", lambda v: type(v) is str and v != "" and "/" not in v)
+_FILE = _rule(
+    "a file name", lambda v: type(v) is str and v not in ("", ".", "..") and "/" not in v
+)
 _LIST = _rule("a list", lambda v: type(v) is list)
 _OBJECT = _rule("an object", lambda v: type(v) is dict)
 _SITES = _rule("a list of integers", _is_ints)
@@ -277,13 +294,36 @@ def emit_csv(records, path: Path):
     """
     if not records:
         raise ValueError("no records to infer csv columns from")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(records[0].keys())
-        writer.writerows(
-            [format(v, ".17g") if isinstance(v, float) else v for v in rec.values()]
-            for rec in records
-        )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(records[0].keys())
+    writer.writerows(
+        [format(v, ".17g") if isinstance(v, float) else v for v in rec.values()]
+        for rec in records
+    )
+    _overwrite(path, text.getvalue().encode())
+
+
+def _overwrite(path: Path, data: bytes):
+    """Make the file at ``path`` hold exactly ``data``, created with mode
+    0o666 less the umask if it does not exist.
+
+    The file is overwritten in place and then cut to length, not truncated
+    first: on ext4, truncating a file to zero and rewriting it starts
+    writeback on close, which made each report write take over ten times as
+    long.  A path that cannot be written raises ``ConfigError``.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +503,7 @@ def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path):
     stats = measure_zero_experiment(
         dims, n_samples, tol, RngStream(cfg.seed, offset), sampler=sampler
     )
-    csv_name = cfg.output.get("csv", f"{cfg.experiment}-samples.csv")
-    emit_csv(stats.records, out_dir / csv_name)
+    emit_csv(stats.records, out_dir / cfg.csv_name)
     results = {
         "dims": list(stats.dims),
         "n_samples": stats.n_samples,
@@ -478,7 +517,7 @@ def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path):
             "edges": stats.histogram_edges,
             "counts": stats.histogram_counts,
         },
-        "csv": csv_name,
+        "csv": cfg.csv_name,
         "expect": expect,
     }
     if expect == "no-hits":
@@ -697,7 +736,8 @@ def run(cfg: ExperimentConfig, out_dir: Path):
     """Execute one experiment; returns (report dict, exit code).
 
     A report that would hold NaN or an infinity, which JSON cannot encode,
-    raises ``ValueError`` and is not written.
+    raises ``ValueError`` and is not written; an output file that cannot be
+    written raises ``ConfigError``.
     """
     start = time.perf_counter()
     runner = EXPERIMENTS[cfg.experiment][0]
@@ -711,8 +751,7 @@ def run(cfg: ExperimentConfig, out_dir: Path):
         "passed": bool(passed),
         "wall_time_s": time.perf_counter() - start,
     }
-    report_name = cfg.output.get("report", f"{cfg.experiment}-report.json")
-    (out_dir / report_name).write_text(_encode(report, "\n") + "\n")
+    _overwrite(out_dir / cfg.report_name, (_encode(report, "\n") + "\n").encode())
     return report, (0 if passed else 2)
 
 

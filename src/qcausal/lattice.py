@@ -373,13 +373,12 @@ def build_scenario(
     vanishes identically.
     """
     opts = opts or BuildOptions()
-    p = _first_outside(lattice, *_int_array(k.points).T)
+    kp = _int_array(k.points)
+    ts, xs = kp[:, 0], kp[:, 1]
+    p = _first_outside(lattice, ts, xs)
     if p is not None:
         raise ValueError(f"region point {p} outside the lattice window")
-    ts = [t for t, _ in k.points]
-    xs = [x for _, x in k.points]
-    t0k, t1k = min(ts), max(ts)
-    x0k, x1k = min(xs), max(xs)
+    t0k, t1k, x0k, x1k = (int(v) for v in (ts.min(), ts.max(), xs.min(), xs.max()))
     if x1k - x0k >= lattice.n_sites // 2:
         raise ValueError(
             "region K must fit within half the spatial circle "
@@ -387,14 +386,12 @@ def build_scenario(
         )
 
     # f: product triangular profile over K, peaked at the bounding-box centre.
+    # numpy turns each int coordinate into a float before subtracting, as
+    # Python does, so every weight has the bits of the scalar formula.
     tc, xc = 0.5 * (t0k + t1k), 0.5 * (x0k + x1k)
     ht, hx = 0.5 * (t1k - t0k), 0.5 * (x1k - x0k)
-    f = TestFunction(
-        {
-            (t, x): (1.0 - abs(t - tc) / (ht + 1.0)) * (1.0 - abs(x - xc) / (hx + 1.0))
-            for t, x in k.points
-        }
-    )
+    weights = (1.0 - np.abs(ts - tc) / (ht + 1.0)) * (1.0 - np.abs(xs - xc) / (hx + 1.0))
+    f = TestFunction(dict(zip(k.points, weights.tolist())))
 
     th = t0k - opts.time_gap - opts.bump_half_t
     tg = t1k + opts.time_gap + opts.bump_half_t
@@ -421,16 +418,16 @@ def build_scenario(
         xh -= 1
         xg += 1
 
-    support = list(f.support) + list(g.support) + list(h.support)
-    t_extent = max(t for t, _ in support) - min(t for t, _ in support)
+    bounds = [tf.bounds for tf in (f, g, h)]
+    t_extent = max(b[1] for b in bounds) - min(b[0] for b in bounds)
     if t_extent >= lattice.n_sites / 2:
         raise ValueError(
             "scenario time extent is long enough for signals to wrap around "
             "the spatial circle; enlarge n_sites or tighten the geometry"
         )
     # Defensive re-checks of the causal-complement placement.
-    if _any_reaches(lattice, k.points, h.support):
+    if _any_reaches(lattice, kp, np.column_stack((h.ts, h.xs))):
         raise ValueError("internal geometry error: h intersects the future of K")
-    if _any_reaches(lattice, g.support, k.points):
+    if _any_reaches(lattice, np.column_stack((g.ts, g.xs)), kp):
         raise ValueError("internal geometry error: g intersects the past of K")
     return f, g, h

@@ -246,6 +246,8 @@ class TestExitCodes:
             ("lattice-sorkin", {"k_region": [5, 10]}, "k_region"),
             ("perturb-ball", {"epsilons": [0.0]}, "epsilons"),
             ("check-causal", {"output": {"report": 5}}, "output.report"),
+            ("check-causal", {"output": {"report": ".."}}, "output.report"),
+            ("sample-haar", {"output": {"csv": "."}}, "output.csv"),
             # each of these ran to a vacuous or silent PASS
             ("sample-haar", {"tol": "nan"}, "tol"),
             ("check-causal", {"tol": float("inf")}, "tol"),
@@ -297,6 +299,8 @@ class TestExitCodes:
             "flat-k-region",
             "zero-epsilons",
             "report-not-a-name",
+            "report-dot-dot",
+            "csv-dot",
             "nan-string-tol",
             "infinite-tol",
             "causal-one-site",
@@ -357,6 +361,43 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "experiment, name",
+        [
+            ("check-causal", "check-causal-report.json"),
+            ("sample-haar", "sample-haar-report.json"),
+            ("sample-haar", "sample-haar-samples.csv"),
+        ],
+    )
+    def test_output_path_that_is_a_directory_is_one(self, tmp_path, capsys, experiment, name):
+        # each ended in an IsADirectoryError traceback
+        (tmp_path / name).mkdir()
+        cfg = _write(tmp_path, "c.json", _TINY_BASE[experiment])
+        code = main([experiment, "--config", cfg, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: cannot write {tmp_path / name}: Is a directory\n")
+
+    @pytest.mark.parametrize(
+        "output",
+        [
+            {"csv": "sample-haar-report.json"},
+            {"report": "sample-haar-samples.csv"},
+            {"report": "r", "csv": "r"},
+        ],
+    )
+    def test_csv_named_like_the_report_is_one(self, tmp_path, capsys, output):
+        # the first wrote the CSV, overwrote it with the report and passed
+        cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=3, output=output))
+        out = tmp_path / "out"
+        code = main(["sample-haar", "--config", cfg, "--out-dir", str(out)])
+        assert code == 1
+        name = output.get("report", "sample-haar-report.json")
+        assert capsys.readouterr() == (
+            "",
+            f"error: the report and the CSV would both be written to {name!r}\n",
+        )
+        assert not out.exists()
 
     def test_out_dir_that_is_a_file_is_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=3))
@@ -542,6 +583,81 @@ class TestCsv:
     def test_emit_csv_empty_needs_explicit_columns(self, tmp_path):
         with pytest.raises(ValueError, match="columns"):
             emit_csv([], tmp_path / "empty.csv")
+
+
+def _csv_oracle(records, path):
+    """The bytes of ``records`` written through a text file, as ``emit_csv``
+    once wrote them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(records[0].keys())
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in rec.values()]
+            for rec in records
+        )
+    return path.read_bytes()
+
+
+class TestOutputFiles:
+    """Reports and CSVs replace whatever their paths held."""
+
+    NAMES = ("sample-haar-report.json", "sample-haar-samples.csv")
+
+    @staticmethod
+    def _run(out_dir, n_samples, **extra):
+        """One sample-haar run; the report and CSV bytes it should leave."""
+        report, code = cli.run(
+            ExperimentConfig.from_dict(_haar_cfg(n_samples=n_samples, **extra)), out_dir
+        )
+        assert code == 0
+        stats = measure_zero_experiment(
+            SystemDims((2, 2)), n_samples, 1e-6, RngStream(77), sampler="global"
+        )
+        return (
+            (json.dumps(report, indent=2, sort_keys=True) + "\n").encode(),
+            _csv_oracle(stats.records, out_dir.parent / "oracle.csv"),
+        )
+
+    def test_longer_files_leave_no_tail(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = [out / name for name in self.NAMES]
+        for p in paths:
+            p.write_bytes(b"\xff" * 2**20)
+        # each run's report and CSV are shorter than what its paths held
+        first = self._run(out, 8, stream_offset=0, expect="no-hits")
+        assert [p.read_bytes() for p in paths] == list(first)
+        second = self._run(out, 3)
+        assert all(len(b) < len(a) for a, b in zip(first, second))
+        assert [p.read_bytes() for p in paths] == list(second)
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
+        cli._overwrite(tmp_path / "f", bytes(range(256)) * 40)
+        assert (tmp_path / "f").read_bytes() == bytes(range(256)) * 40
+
+    def test_csv_quoting_matches_a_text_file(self, tmp_path):
+        records = [
+            {"a": 'x,"y"\n', "b": 1.5, "c": None, "d": "\r"},
+            {"a": "", "b": -0.0, "c": 2**70, "d": " q "},
+        ]
+        emit_csv(records, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == _csv_oracle(
+            records, tmp_path / "want.csv"
+        )
+
+    def test_new_files_follow_the_umask(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = os.umask(0o002)
+        try:
+            self._run(out, 2)
+            open(tmp_path / "text.txt", "w").close()
+        finally:
+            os.umask(old)
+        modes = {p.stat().st_mode & 0o777 for p in (*out.iterdir(), tmp_path / "text.txt")}
+        assert modes == {0o664}
 
 
 class TestCheckCausal:

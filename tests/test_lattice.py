@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from qcausal import _kernels
+from qcausal import _kernels, lattice
 from qcausal.lattice import (
     _any_reaches,
     _base_table,
+    _first_outside,
+    _int_array,
     AffineField,
     BuildOptions,
     LatticeSpec,
@@ -91,6 +93,67 @@ def _loop_pauli_jordan(lattice, f, g):
             elif dt < 0:
                 total -= fv * gv * table[-dt, (xq - xp) % n]
     return total
+
+
+def _frozen_build_scenario(lattice_, k, opts=None):
+    """Frozen form of ``build_scenario``: K and the probe supports go through
+    Python lists, and f's weights through the scalar formula."""
+    opts = opts or BuildOptions()
+    p = _first_outside(lattice_, *_int_array(k.points).T)
+    if p is not None:
+        raise ValueError(f"region point {p} outside the lattice window")
+    ts = [t for t, _ in k.points]
+    xs = [x for _, x in k.points]
+    t0k, t1k = min(ts), max(ts)
+    x0k, x1k = min(xs), max(xs)
+    if x1k - x0k >= lattice_.n_sites // 2:
+        raise ValueError(
+            "region K must fit within half the spatial circle "
+            "(as given, without wraparound)"
+        )
+    tc, xc = 0.5 * (t0k + t1k), 0.5 * (x0k + x1k)
+    ht, hx = 0.5 * (t1k - t0k), 0.5 * (x1k - x0k)
+    f = TestFunction(
+        {
+            (t, x): (1.0 - abs(t - tc) / (ht + 1.0)) * (1.0 - abs(x - xc) / (hx + 1.0))
+            for t, x in k.points
+        }
+    )
+    th = t0k - opts.time_gap - opts.bump_half_t
+    tg = t1k + opts.time_gap + opts.bump_half_t
+    if th - opts.bump_half_t < 0:
+        raise ValueError(
+            "window cannot accommodate the arrangement: no room before K for h"
+        )
+    if tg + opts.bump_half_t > lattice_.n_steps - 1:
+        raise ValueError(
+            "window cannot accommodate the arrangement: no room after K for g"
+        )
+    xh, xg = x0k, x1k
+    while True:
+        if (xg - xh) > lattice_.n_sites // 2:
+            raise ValueError(
+                "window cannot accommodate the arrangement: h and g cannot be "
+                "made spacelike separated on this circle"
+            )
+        h = triangular_bump(lattice_, (th, xh), opts.bump_half_t, opts.bump_half_x)
+        g = triangular_bump(lattice_, (tg, xg), opts.bump_half_t, opts.bump_half_x)
+        if lattice._spacelike_supports(lattice_, g, h):
+            break
+        xh -= 1
+        xg += 1
+    support = list(f.support) + list(g.support) + list(h.support)
+    t_extent = max(t for t, _ in support) - min(t for t, _ in support)
+    if t_extent >= lattice_.n_sites / 2:
+        raise ValueError(
+            "scenario time extent is long enough for signals to wrap around "
+            "the spatial circle; enlarge n_sites or tighten the geometry"
+        )
+    if _any_reaches(lattice_, k.points, h.support):
+        raise ValueError("internal geometry error: h intersects the future of K")
+    if _any_reaches(lattice_, g.support, k.points):
+        raise ValueError("internal geometry error: g intersects the past of K")
+    return f, g, h
 
 
 def _random_points(rng, lat, n):
@@ -489,6 +552,87 @@ class TestBuildScenario:
             BuildOptions(time_gap=0)
         with pytest.raises(ValueError, match="half-width"):
             BuildOptions(bump_half_t=-1)
+
+
+def _box(t0, nt, x0, nx):
+    return Region([(t, x) for t in range(t0, t0 + nt) for x in range(x0, x0 + nx)])
+
+
+# (lattice, K, options): a single point, 2x2, 4x12 and 5x20 wide K, K on the
+# first site, on the last site and at the earliest time the probes allow, a
+# scattered K, and times past int64 (object arrays throughout)
+_SCENARIOS = [
+    (LatticeSpec(31, 12), Region([(5, 15)]), None),
+    (LatticeSpec(32, 16), _box(6, 2, 10, 2), None),
+    (LatticeSpec(64, 24), _box(8, 4, 20, 12), None),
+    (LatticeSpec(128, 32), _box(10, 5, 30, 20), None),
+    (LatticeSpec(64, 16), _box(6, 2, 0, 4), None),
+    (LatticeSpec(64, 16), _box(6, 2, 60, 4), None),
+    (LatticeSpec(64, 16), _box(4, 2, 20, 21), None),
+    (LatticeSpec(37, 20), _box(5, 3, 7, 5), BuildOptions(1, 0, 0)),
+    (LatticeSpec(96, 30), _box(9, 4, 30, 11), BuildOptions(3, 2, 2)),
+    (
+        LatticeSpec(64, 24),
+        Region(
+            (t + 5, x + 20)
+            for t, x in _random_points(np.random.default_rng(5), LatticeSpec(12, 6), 15)
+        ),
+        BuildOptions(2, 1, 0),
+    ),
+    (LatticeSpec(64, 10**20), _box(10**19 + 3, 3, 10, 12), None),
+]
+
+# (lattice, K, the refusal as build_scenario words it)
+_REFUSALS = [
+    (LatticeSpec(64, 16), Region([(6, 10**23)]), f"region point (6, {10**23}) outside"),
+    (LatticeSpec(31, 12), Region([(12, 3), (5, -1)]), "region point (5, -1) outside"),
+    (LatticeSpec(16, 12), _box(5, 1, 0, 9), "half the spatial circle"),
+    (LatticeSpec(31, 12), Region([(2, 15)]), "no room before K"),
+    (LatticeSpec(31, 12), Region([(9, 15)]), "no room after K"),
+    (LatticeSpec(9, 12), Region([(5, 4)]), "cannot be made spacelike"),
+]
+
+
+class TestBuildScenarioFrozen:
+    """``build_scenario`` against its frozen form, bit for bit."""
+
+    @staticmethod
+    def _same(a, b):
+        assert list(a.values) == list(b.values)
+        assert [v.hex() for v in a.values.values()] == [v.hex() for v in b.values.values()]
+        for name in ("ts", "xs"):
+            got, want = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert [w.hex() for w in a.weights.tolist()] == [
+            w.hex() for w in b.weights.tolist()
+        ]
+        assert a.bounds == b.bounds
+
+    @pytest.mark.parametrize("lat, k, opts", _SCENARIOS)
+    def test_same_test_functions(self, lat, k, opts):
+        for got, want in zip(build_scenario(lat, k, opts), _frozen_build_scenario(lat, k, opts)):
+            self._same(got, want)
+
+    @pytest.mark.parametrize("lat, k, message", _REFUSALS)
+    def test_same_refusals(self, lat, k, message):
+        with pytest.raises(ValueError) as got:
+            build_scenario(lat, k)
+        with pytest.raises(ValueError) as want:
+            _frozen_build_scenario(lat, k)
+        assert str(got.value) == str(want.value)
+        assert message in str(got.value)
+
+    def test_same_wrap_around_refusal(self, monkeypatch):
+        # spacelike probes keep the time extent below n_sites / 2, so the
+        # check is reached only with the spacelike verdict forced
+        monkeypatch.setattr(lattice, "_spacelike_supports", lambda *a: True)
+        lat, k = LatticeSpec(9, 40), Region([(10, 4)])
+        with pytest.raises(ValueError) as got:
+            build_scenario(lat, k)
+        with pytest.raises(ValueError) as want:
+            _frozen_build_scenario(lat, k)
+        assert str(got.value) == str(want.value)
+        assert "wrap around the spatial circle" in str(got.value)
 
 
 class TestKernelPaths:
