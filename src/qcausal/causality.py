@@ -23,7 +23,10 @@ Two structural reformulations drive the fast deciders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -74,9 +77,28 @@ def is_local_channel(
     ``c`` and, like ``c(B) - B``, linear in a mixing weight.  A stack of
     channels is local when every member is.
     """
+    return _is_local(c.kraus, sites, c.dims, tol)
+
+
+def _is_local(ks, sites, dims: SystemDims, tol: float = DEFAULT_TOL) -> bool:
+    """:func:`is_local_channel` of the Kraus stack ``ks``."""
     sites = tuple(sorted(int(s) for s in sites))
-    gram = gram_sum(_off_block(c.kraus, sites, c.dims))
+    gram = gram_sum(_off_block(ks, sites, dims))
     return bool(np.abs(gram).max() <= tol)
+
+
+def _direction_runs(partition) -> list:
+    """``(part, index)`` for each run of equal directions of a scenario's
+    ``partition``: the whole stack (``...``) for one :class:`Bipartition`, a
+    slice of the member axis for each run of a sequence."""
+    if isinstance(partition, Bipartition):
+        return [(partition, ...)]
+    runs, start = [], 0
+    for part, members in groupby(partition):
+        n = len(list(members))
+        runs.append((part, slice(start, start + n)))
+        start += n
+    return runs
 
 
 @dataclass
@@ -90,17 +112,28 @@ class SorkinScenario:
 
     A stack of scenarios, tested against one intervention, has the same
     leading axes on ``rho``, ``observable`` and the Kraus stack of ``prep``;
-    every member is validated.
+    every member is validated.  Its ``partition`` is one oriented
+    :class:`Bipartition` shared by every member, or, for a stack with one
+    leading axis, a sequence of them (stored as a tuple), one per member:
+    each member is then checked against its own direction.  The support and
+    locality checks run once per run of equal directions.
     """
 
     rho: np.ndarray
     prep: KrausChannel
     intervention: KrausChannel
     observable: np.ndarray
-    partition: Bipartition
+    partition: Bipartition | tuple[Bipartition, ...]
 
     def __post_init__(self):
-        dims = self.partition.dims
+        if not isinstance(self.partition, Bipartition):
+            self.partition = tuple(self.partition)
+            if not self.partition:
+                raise ValueError("need one partition per member, got none")
+        runs = _direction_runs(self.partition)
+        dims = runs[0][0].dims
+        if any(part.dims != dims for part, _ in runs):
+            raise ValueError("the members' partitions have different dims")
         self.rho = check_density(self.rho)
         if self.rho.shape[-2:] != (dims.total, dims.total):
             raise ValueError("state dimension does not match the partition")
@@ -114,12 +147,18 @@ class SorkinScenario:
                 f"state, preparation and observable stacks differ: "
                 f"{lead}, {self.prep.kraus.shape[:-3]}, {self.observable.shape[:-2]}"
             )
+        if isinstance(self.partition, tuple) and lead != (len(self.partition),):
+            raise ValueError(
+                f"need one partition per member: {len(self.partition)} "
+                f"partitions for a stack of shape {lead}"
+            )
         if not is_hermitian(self.observable):
             raise ValueError("observable is not Hermitian")
-        if not is_supported_on(self.observable, self.partition.right, dims):
-            raise ValueError("observable is not supported on the receiver sites")
-        if not is_local_channel(self.prep, self.partition.left):
-            raise ValueError("preparation is not local to the sender sites")
+        for part, members in runs:
+            if not is_supported_on(self.observable[members], part.right, dims):
+                raise ValueError("observable is not supported on the receiver sites")
+            if not _is_local(self.prep.kraus[members], part.left, dims):
+                raise ValueError("preparation is not local to the sender sites")
 
 
 def sorkin_violation(s: SorkinScenario):
@@ -137,11 +176,31 @@ def sorkin_violation(s: SorkinScenario):
 
 @dataclass
 class SignallingReport:
-    """Strength and witness of signalling across one direction of a bipartition."""
+    """Strength and witness of signalling across one direction of a bipartition.
+
+    ``gram`` is the Gram of the defect map over the receiver matrix units,
+    from which :func:`semicausal_defect` reads the strength; the witness is
+    computed from it when first read.
+    """
 
     direction: tuple[tuple[int, ...], tuple[int, ...]]  # (sender, receiver) sites
     strength: float
-    witness: np.ndarray  # Hermitian, unit Frobenius norm, on the receiver factor
+    gram: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> np.ndarray:
+        """Hermitian, unit Frobenius norm, on the receiver factor: the larger
+        Hermitian part of a top eigenvector of ``gram``, signed so that its
+        largest :func:`hermitian_basis` coordinate is positive."""
+        d_r = math.isqrt(len(self.gram))
+        x = np.linalg.eigh(self.gram)[1][:, -1].reshape(d_r, d_r)
+        witness = max(((x + x.conj().T) / 2, (x - x.conj().T) / 2j), key=np.linalg.norm)
+        witness = witness / np.linalg.norm(witness)
+        # fix the overall sign for reproducibility
+        coords = np.einsum("aji,ij->a", hermitian_basis(d_r), witness).real
+        if coords[np.argmax(np.abs(coords))] < 0:
+            witness = -witness
+        return witness
 
 
 def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
@@ -157,12 +216,15 @@ def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
     to Frobenius norm over the receiver matrix units ``E_rr'``: with each
     Kraus operator's row legs in (sender, receiver) order the family is a
     ``(k d_S, d_R D)`` matrix ``A``, and ``Phi(1 (x) E_rr')`` is the slice
-    ``[r, :, r', :]`` of ``A^+ A``.  The map commutes with the adjoint, so
-    the gains of the Hermitian parts of ``X = H1 + i H2`` add, and the
-    larger part of a top singular vector is the witness: a maximizing
-    unit-norm Hermitian receiver observable, signed so that its largest
-    :func:`hermitian_basis` coordinate is positive.  A strength within a
-    caller's tolerance of zero certifies no signalling sender -> receiver.
+    ``[r, :, r', :]`` of ``A^+ A``.  The strength is the square root of the
+    top eigenvalue of the map's ``(d_R^2, d_R^2)`` Gram, from
+    ``np.linalg.eigvalsh``; no eigenvector is computed here.  The map
+    commutes with the adjoint, so the gains of the Hermitian parts of
+    ``X = H1 + i H2`` add, and the larger part of a top eigenvector is the
+    witness: a maximizing unit-norm Hermitian receiver observable, computed
+    with ``np.linalg.eigh`` of the stored Gram only when
+    :attr:`SignallingReport.witness` is read.  A strength within a caller's
+    tolerance of zero certifies no signalling sender -> receiver.
     """
     if c.dims != part.dims:
         raise ValueError("channel dims do not match the partition")
@@ -174,18 +236,10 @@ def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
     a = ks.reshape(-1, *dims.dims, d).transpose(0, *legs, n + 1).reshape(-1, d_r * d)
     images = (a.conj().T @ a).reshape(d_r, d, d_r, d).transpose(0, 2, 1, 3)
     m = _off_block(images, r_sites, dims).reshape(d_r * d_r, d * d)
-    evals, evecs = np.linalg.eigh(m.conj() @ m.T)
-    strength = float(np.sqrt(abs(evals[-1])))  # a zero Gram may give -0.0
-    x = evecs[:, -1].reshape(d_r, d_r)
-    witness = max(((x + x.conj().T) / 2, (x - x.conj().T) / 2j), key=np.linalg.norm)
-    witness = witness / np.linalg.norm(witness)
-    # fix the overall sign for reproducibility
-    coords = np.einsum("aji,ij->a", hermitian_basis(d_r), witness).real
-    if coords[np.argmax(np.abs(coords))] < 0:
-        witness = -witness
-    return SignallingReport(
-        direction=(s_sites, r_sites), strength=strength, witness=witness
-    )
+    gram = m.conj() @ m.T
+    top = np.linalg.eigvalsh(gram)[-1]
+    strength = float(np.sqrt(abs(top)))  # a zero Gram may give -0.0
+    return SignallingReport(direction=(s_sites, r_sites), strength=strength, gram=gram)
 
 
 def operator_schmidt_values(u, part: Bipartition) -> np.ndarray:

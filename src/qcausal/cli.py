@@ -437,8 +437,8 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
 
     defects = []
     one_way = []
-    sorkin_max = 0.0
     schmidt = {}
+    directions = []  # every oriented bipartition, in draw order
     for part in all_bipartitions(dims):
         per_dir = {}
         for sender, oriented in (("left", part), ("right", part.swapped())):
@@ -452,11 +452,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
                     "strength": rep.strength,
                 }
             )
-            # one stack per block, drawn in the order of single draws
-            for start in range(0, n_scenarios, SCENARIO_BLOCK):
-                n = min(SCENARIO_BLOCK, n_scenarios - start)
-                s = random_sorkin_scenario(oriented, channel, rng, n=n)
-                sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s)).max()))
+            directions.append(oriented)
         flags = [per_dir["left"] > tol, per_dir["right"] > tol]
         if flags[0] != flags[1]:
             one_way.append({"left": list(part.left), "right": list(part.right)})
@@ -464,6 +460,16 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
             schmidt["-".join(map(str, part.left))] = [
                 float(s) for s in operator_schmidt_values(channel.kraus[0], part)
             ]
+    # n_scenarios members per direction, in the order of single draws, one
+    # stack per block of members across directions
+    sorkin_max = 0.0
+    members = len(directions) * n_scenarios
+    for start in range(0, members, SCENARIO_BLOCK):
+        block = range(start, min(start + SCENARIO_BLOCK, members))
+        s = random_sorkin_scenario(
+            [directions[i // n_scenarios] for i in block], channel, rng
+        )
+        sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s)).max()))
     defect_causal = all(d["strength"] <= tol for d in defects)
     sorkin_causal = sorkin_max <= tol
 

@@ -44,6 +44,8 @@ class LatticeSpec:
             raise ValueError("n_sites must be at most 2**63 - 1")
         if self.n_steps < 2:
             raise ValueError("need at least 2 time steps")
+        if self.n_steps > np.iinfo(np.int64).max:  # time arithmetic is int64
+            raise ValueError("n_steps must be at most 2**63 - 1")
         if not math.isfinite(self.mass):
             raise ValueError("mass must be finite")
         if self.mass < 0:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .causality import (
     SorkinScenario,
+    _direction_runs,
     nearest_product_unitaries,
     operator_schmidt_values,
 )
@@ -128,37 +129,55 @@ def random_kraus_channel(dims: SystemDims, nkraus: int, rng) -> KrausChannel:
     return KrausChannel(_unital(_ginibre(rng.standard_normal((nkraus, 2, d, d)))), dims)
 
 
-def random_sorkin_scenario(
-    part: Bipartition,
-    intervention: KrausChannel,
-    rng,
-    n: int | None = None,
-) -> SorkinScenario:
-    """Random admissible scenario for a given intervention and sender block.
+def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScenario:
+    """Random admissible scenario, or stack of them, for a given intervention.
 
-    Draws a random unital preparation of three Kraus operators on the sender
-    sites (embedded so it acts trivially elsewhere), a random state and a
-    random Hermitian receiver observable, validated within ``DEFAULT_TOL``
-    like every :class:`SorkinScenario`.  With ``n`` it draws a stack of ``n``
-    scenarios on a leading axis, scenario by scenario in that order from
-    ``rng``, so member ``j`` equals the ``j``-th of ``n`` single draws.
+    Each scenario draws a random unital preparation of three Kraus operators
+    on its sender sites (embedded so it acts trivially elsewhere), a random
+    state and a random Hermitian receiver observable, validated within
+    ``DEFAULT_TOL`` like every :class:`SorkinScenario`.  ``part`` is one
+    oriented :class:`Bipartition` for one scenario, or a sequence of them for
+    a stack with one member per entry, each drawn for its own direction.  A
+    stack takes one ``standard_normal`` draw, split scenario by scenario in
+    that order, so member ``j`` equals the ``j``-th of the single draws.
     """
     rng = _as_generator(rng)
-    dims = part.dims
-    d_s, d, d_r = part.left_dim, dims.total, part.right_dim
+    one = isinstance(part, Bipartition)
+    parts = (part,) if one else tuple(part)
+    if not parts:
+        raise ValueError("need at least one partition to draw a scenario for")
+    dims = parts[0].dims
+    d = dims.total
     nkraus_prep = 3
-    sizes = (nkraus_prep * 2 * d_s * d_s, 2 * d * d, 2 * d_r * d_r)
-    lead = () if n is None else (n,)
-    raw = rng.standard_normal(lead + (sum(sizes),))
-    raw_prep, raw_rho, raw_obs = np.split(raw, np.cumsum(sizes[:2]), axis=-1)
-    kraus = _unital(_ginibre(raw_prep.reshape(lead + (nkraus_prep, 2, d_s, d_s))))
-    obs = _hermitian_part(_complex(raw_obs.reshape(lead + (2, d_r, d_r))))
+    runs = [(p, members.stop - members.start) for p, members in _direction_runs(parts)]
+    if any(p.dims != dims for p, _ in runs):
+        raise ValueError("the members' partitions have different dims")
+    sizes = [
+        (nkraus_prep * 2 * p.left_dim**2, 2 * d * d, 2 * p.right_dim**2) for p, _ in runs
+    ]
+    raw = rng.standard_normal(sum(n * sum(s) for (_, n), s in zip(runs, sizes)))
+    kraus, raw_rho, obs = [], [], []
+    start = 0
+    for (p, n), s in zip(runs, sizes):
+        run = raw[start : start + n * sum(s)].reshape(n, sum(s))
+        start += n * sum(s)
+        raw_prep, raw_r, raw_obs = np.split(run, np.cumsum(s[:2]), axis=-1)
+        d_s, d_r = p.left_dim, p.right_dim
+        k = _unital(_ginibre(raw_prep.reshape(n, nkraus_prep, 2, d_s, d_s)))
+        kraus.append(embed_operator(k, p.left, dims))
+        raw_rho.append(raw_r.reshape(n, 2, d, d))
+        o = _hermitian_part(_complex(raw_obs.reshape(n, 2, d_r, d_r)))
+        obs.append(embed_operator(o, p.right, dims))
+    rho = _density(_ginibre(np.concatenate(raw_rho)))
+    kraus, obs = np.concatenate(kraus), np.concatenate(obs)
+    if one:
+        rho, kraus, obs = rho[0], kraus[0], obs[0]
     return SorkinScenario(
-        rho=_density(_ginibre(raw_rho.reshape(lead + (2, d, d)))),
-        prep=KrausChannel(embed_operator(kraus, part.left, dims), dims),
+        rho=rho,
+        prep=KrausChannel(kraus, dims),
         intervention=intervention,
-        observable=embed_operator(obs, part.right, dims),
-        partition=part,
+        observable=obs,
+        partition=part if one else parts,
     )
 
 

@@ -282,6 +282,76 @@ class TestStackedScenarioValidation:
             SorkinScenario(rho, prep, stacked, obs, QUBIT_PAIR)
 
 
+class TestMixedDirectionStacks:
+    """Stacks of four scenarios: members 0 and 1 send from site 0, members 2
+    and 3 from site 1, each checked against its own direction."""
+
+    PARTS = [QUBIT_PAIR] * 2 + [QUBIT_PAIR.swapped()] * 2
+
+    def _stacks(self):
+        rho = np.outer(_ket(0, 0), _ket(0, 0))
+        x0, x1 = np.kron(X, I2), np.kron(I2, X)
+        kraus = np.array([[x0], [x0], [x1], [x1]])
+        obs = np.array([np.kron(I2, Z)] * 2 + [np.kron(Z, I2)] * 2)
+        return np.array([rho] * 4), kraus, obs
+
+    def _scenario(self, rho, kraus, obs, parts=PARTS):
+        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
+        return SorkinScenario(rho, prep, cnot_channel(), obs, parts)
+
+    def test_good_stack_gives_each_violation(self):
+        rho, kraus, obs = self._stacks()
+        s = self._scenario(rho, kraus, obs)
+        assert s.partition == tuple(self.PARTS)
+        got = sorkin_violation(s)
+        want = [
+            sorkin_violation(
+                SorkinScenario(
+                    rho[j], KrausChannel(kraus[j], QUBIT_PAIR.dims), cnot_channel(),
+                    obs[j], self.PARTS[j],
+                )
+            )
+            for j in range(4)
+        ]
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, [-2.0, -2.0, 0.0, 0.0], atol=1e-14)
+
+    # members 0 to 2 send from site 0 and member 3 from site 1: checked
+    # against the first member's direction, only member 3 would fail, and
+    # with the other message
+    ONE_REVERSED = [QUBIT_PAIR] * 3 + [QUBIT_PAIR.swapped()]
+
+    def _one_reversed(self):
+        rho, kraus, obs = self._stacks()
+        kraus[2], obs[2] = kraus[0], obs[0]
+        return rho, kraus, obs
+
+    def test_rejects_prep_local_to_the_other_block(self):
+        rho, kraus, obs = self._one_reversed()
+        kraus[3] = kraus[0]  # local to site 0, on which member 3 receives
+        with pytest.raises(ValueError, match="preparation is not local to the sender"):
+            self._scenario(rho, kraus, obs, self.ONE_REVERSED)
+
+    def test_rejects_observable_on_the_sender(self):
+        rho, kraus, obs = self._one_reversed()
+        obs[3] = obs[0]  # on site 1, from which member 3 sends
+        with pytest.raises(ValueError, match="not supported on the receiver sites"):
+            self._scenario(rho, kraus, obs, self.ONE_REVERSED)
+
+    def test_rejects_a_partition_count_unlike_the_stack(self):
+        rho, kraus, obs = self._stacks()
+        with pytest.raises(ValueError, match="one partition per member"):
+            self._scenario(rho, kraus, obs, self.PARTS[:3])
+        with pytest.raises(ValueError, match="one partition per member"):
+            self._scenario(rho, kraus, obs, [])
+
+    def test_rejects_partitions_of_other_dims(self):
+        rho, kraus, obs = self._stacks()
+        other = Bipartition.split(SystemDims((2, 3)), (0,))
+        with pytest.raises(ValueError, match="different dims"):
+            self._scenario(rho, kraus, obs, self.PARTS[:3] + [other])
+
+
 def _unitality_probe(eps):
     KrausChannel([np.sqrt(1.0 + eps) * I2], SystemDims((2,)))
 
@@ -325,7 +395,7 @@ def _random_stack_probe(eps):
     sqrt(1 - eps) - i sqrt(eps) (1 (x) Z (x) 1), whose off-sender Gram is eps."""
     part = Bipartition.split(SystemDims((2, 2, 2)), (0,))
     g = RngStream(41).generator()
-    s = random_sorkin_scenario(part, random_kraus_channel(part.dims, 2, g), g, n=4)
+    s = random_sorkin_scenario([part] * 4, random_kraus_channel(part.dims, 2, g), g)
     flip = embed_operator(Z, (1,), part.dims)
     kraus = s.prep.kraus.copy()
     kraus[2] = kraus[2] @ (np.sqrt(1.0 - eps) * np.eye(8) - 1j * np.sqrt(eps) * flip)
@@ -531,6 +601,44 @@ class TestSemicausalDefect:
                     strength, witness = _defect_loop(c, oriented)
                     np.testing.assert_allclose(rep.strength, strength, rtol=1e-12)
                     np.testing.assert_allclose(rep.witness, witness, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["haar", "depolarizing", "kraus"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3)], ids=_dims_id)
+    def test_strength_matches_basis_loop(self, dims, kind):
+        dims = SystemDims(dims)
+        g = RngStream(35).generator()
+        if kind == "haar":
+            c = from_unitary(haar_unitary(dims.total, g), dims)
+        elif kind == "depolarizing":  # no defect in any direction
+            c = depolarizing_channel(dims, 0.37)
+        else:
+            c = random_kraus_channel(dims, 3, g)
+        for part in all_bipartitions(dims):
+            for oriented in (part, part.swapped()):
+                rep = semicausal_defect(c, oriented)
+                want = _defect_loop(c, oriented)[0]
+                if kind != "depolarizing":
+                    np.testing.assert_allclose(rep.strength, want, rtol=1e-12)
+                    continue
+                # zero to rounding: both read the rounding of the off-block
+                # part, and the top eigenvalue agrees with that of eigh
+                assert rep.strength <= 1e-14 and want <= 1e-14
+                top = np.linalg.eigh(rep.gram)[0][-1]
+                assert abs(rep.strength - np.sqrt(abs(top))) <= 1e-15
+
+    def test_strength_needs_no_eigenvectors(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rep = semicausal_defect(cnot_channel(), QUBIT_PAIR)
+        np.testing.assert_allclose(rep.strength, np.sqrt(2.0), atol=1e-12)
+        rows = perturbation_probe(
+            identity_channel(QUBIT_PAIR.dims), cnot_channel(), [0.5], QUBIT_PAIR
+        )
+        np.testing.assert_allclose(rows[0].defect, np.sqrt(2.0) / 2, atol=1e-12)
+        with pytest.raises(AssertionError, match="eigh called"):
+            rep.witness
 
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):

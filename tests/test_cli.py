@@ -352,8 +352,16 @@ class TestExitCodes:
                 dict(_TINY_BASE["lattice-sorkin"], k_region=[[6, 10**23]]),
                 f"region point (6, {10**23}) outside the lattice window",
             ),
+            (
+                dict(
+                    _TINY_BASE["lattice-sorkin"],
+                    lattice={"n_sites": 64, "n_steps": 10**20},
+                    k_region=[[10**19 + 3, 10], [10**19 + 3, 11]],
+                ),
+                "n_steps must be at most 2**63 - 1",
+            ),
         ],
-        ids=["zoo-on-other-dims", "ragged-unitary", "region-past-int64"],
+        ids=["zoo-on-other-dims", "ragged-unitary", "region-past-int64", "steps-past-int64"],
     )
     def test_refusal_past_the_config_table_is_one(self, tmp_path, capsys, cfg, message):
         path = _write(tmp_path, "c.json", cfg)

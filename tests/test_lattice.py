@@ -179,6 +179,13 @@ class TestGeometry:
         with pytest.raises(ValueError, match="n_sites must be at most 2\\*\\*63 - 1"):
             LatticeSpec(2**63, 8)
 
+    def test_n_steps_fits_int64(self):
+        # a longer window let K past int64 into pauli_jordan as object-dtype
+        # indices, which ended in an IndexError traceback
+        assert LatticeSpec(8, 2**63 - 1).n_steps == 2**63 - 1
+        with pytest.raises(ValueError, match="n_steps must be at most 2\\*\\*63 - 1"):
+            LatticeSpec(8, 2**63)
+
     @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf")])
     def test_mass_must_be_finite(self, mass):
         # nan would make every Delta nan, inf an all-zero table: no signalling
@@ -560,7 +567,7 @@ def _box(t0, nt, x0, nx):
 
 # (lattice, K, options): a single point, 2x2, 4x12 and 5x20 wide K, K on the
 # first site, on the last site and at the earliest time the probes allow, a
-# scattered K, and times past int64 (object arrays throughout)
+# scattered K, and times at the top of int64 (the longest window allowed)
 _SCENARIOS = [
     (LatticeSpec(31, 12), Region([(5, 15)]), None),
     (LatticeSpec(32, 16), _box(6, 2, 10, 2), None),
@@ -579,7 +586,7 @@ _SCENARIOS = [
         ),
         BuildOptions(2, 1, 0),
     ),
-    (LatticeSpec(64, 10**20), _box(10**19 + 3, 3, 10, 12), None),
+    (LatticeSpec(64, 2**63 - 1), _box(2**63 - 30, 3, 10, 12), None),
 ]
 
 # (lattice, K, the refusal as build_scenario words it)

@@ -191,7 +191,7 @@ class TestStackedScenarios:
             rho, prep, obs = _frozen_scenario(part, a)
             want.append(_frozen_violation(rho, prep, c, obs))
         want = np.array(want)
-        got = sorkin_violation(random_sorkin_scenario(part, c, b, n=9))
+        got = sorkin_violation(random_sorkin_scenario([part] * 9, c, b))
         assert got.shape == (9,)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -202,13 +202,33 @@ class TestStackedScenarios:
         part = Bipartition.split(SystemDims((2, 3)), (1,))
         c = identity_channel(part.dims)
         one = random_sorkin_scenario(part, c, RngStream(60))
-        stack = random_sorkin_scenario(part, c, RngStream(60), n=1)
+        stack = random_sorkin_scenario([part], c, RngStream(60))
         assert one.rho.shape == (6, 6) and stack.rho.shape == (1, 6, 6)
         assert one.prep.kraus.shape == (3, 6, 6)
         assert np.array_equal(stack.rho[0], one.rho)
         assert np.array_equal(stack.observable[0], one.observable)
         assert np.array_equal(stack.prep.kraus[0], one.prep.kraus)
         assert type(sorkin_violation(one)) is float
+
+    def test_mixed_stack_is_the_single_draws(self):
+        dims = SystemDims((2, 3, 2))
+        p, q = all_bipartitions(dims)[1], all_bipartitions(dims)[2].swapped()
+        c = random_kraus_channel(dims, 2, RngStream(62))
+        a, b = RngStream(65).generator(), RngStream(65).generator()
+        parts = [p, p, q, p, q, q]
+        stack = random_sorkin_scenario(parts, c, a)
+        assert stack.partition == tuple(parts)
+        for j, part in enumerate(parts):
+            one = random_sorkin_scenario(part, c, b)
+            assert np.array_equal(stack.rho[j], one.rho)
+            assert np.array_equal(stack.prep.kraus[j], one.prep.kraus)
+            assert np.array_equal(stack.observable[j], one.observable)
+        assert a.standard_normal() == b.standard_normal()
+        with pytest.raises(ValueError, match="at least one partition"):
+            random_sorkin_scenario([], c, a)
+        other = Bipartition.split(SystemDims((3, 2, 2)), (0,))
+        with pytest.raises(ValueError, match="different dims"):
+            random_sorkin_scenario([p, other], c, a)
 
     def test_samplers_draw_as_before(self):
         a, b = np.random.default_rng(61), np.random.default_rng(61)
@@ -219,21 +239,37 @@ class TestStackedScenarios:
         diag = np.diagonal(r)
         assert np.array_equal(haar_unitary(3, b), q * (diag / np.abs(diag)))
 
-    # blocks of 2 split each direction's 5 scenarios into three stacks
-    @pytest.mark.parametrize("block", [None, 2])
-    def test_check_causal_sorkin_max_equals_the_loop(self, tmp_path, monkeypatch, block):
+    # blocks of 2 split each direction's 5 scenarios into three stacks; on
+    # uneven dims blocks of 3 straddle directions of different sender dims
+    @pytest.mark.parametrize(
+        "block, dims",
+        [(None, (2, 2, 2)), (2, (2, 2, 2)), (3, (2, 3)), (3, (2, 3, 2))],
+        ids=["None", "2", "3-2x3", "3-2x3x2"],
+    )
+    def test_check_causal_sorkin_max_equals_the_loop(
+        self, tmp_path, monkeypatch, block, dims
+    ):
         if block:
             monkeypatch.setattr(cli, "SCENARIO_BLOCK", block)
-        u = haar_unitary(8, RngStream(63))
+        dims = SystemDims(dims)
+        u = haar_unitary(dims.total, RngStream(63))
         cfg = {
             "experiment": "check-causal",
             "seed": 64,
-            "dims": [2, 2, 2],
+            "dims": list(dims.dims),
             "n_scenarios": 5,
             "unitary": [[[z.real, z.imag] for z in row] for row in u],
         }
+        sizes, streams = [], []
+        draw = sampling.random_sorkin_scenario
+
+        def spy(part, intervention, rng):
+            sizes.append(len(part))
+            streams.append(rng)
+            return draw(part, intervention, rng)
+
+        monkeypatch.setattr(cli, "random_sorkin_scenario", spy)
         report, code = cli.run(cli.ExperimentConfig.from_dict(cfg), tmp_path)
-        dims = SystemDims((2, 2, 2))
         c = from_unitary(u, dims)
         rng = RngStream(64).generator()
         worst = 0.0
@@ -244,6 +280,13 @@ class TestStackedScenarios:
                     worst = max(worst, abs(_frozen_violation(rho, prep, c, obs)))
         assert code == 0
         assert report["results"]["sorkin_max"] == worst
+        # every stack but the last holds a full block
+        n_members = 5 * 2 * len(all_bipartitions(dims))
+        full = block or sampling.SCENARIO_BLOCK
+        assert sum(sizes) == n_members and max(sizes) <= full
+        assert sizes[:-1] == [full] * (len(sizes) - 1)
+        # both streams stop at the same place
+        assert streams[-1].standard_normal() == rng.standard_normal()
 
 
 class TestMeasureZeroExperiment:
