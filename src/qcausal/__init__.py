@@ -27,7 +27,6 @@ from .causality import (
 )
 from .channels import (
     KrausChannel,
-    choi_to_kraus,
     classical_one_way_channel,
     cnot_channel,
     depolarizing_channel,

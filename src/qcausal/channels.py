@@ -6,8 +6,7 @@ A channel is stored by its Kraus family ``{K_i}`` and acts on observables as
 The Choi matrix, a plain ``(D^2, D^2)`` array, is ``J = sum_ij |i><j| (x)
 Phi(|i><j|)`` with no normalization factor, so the identity channel has ``J``
 equal to the unnormalized maximally-entangled projector of trace ``D``.
-:func:`kraus_to_choi` and :func:`choi_to_kraus` convert between the two forms;
-only the latter validates, since a Kraus family is checked on construction.
+:func:`kraus_to_choi` converts a channel to it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .tensor import (
     embed_operator,
     from_re_im,
     gram_sum,
-    is_hermitian,
     is_unitary,
     tensor_product,
     to_re_im,
@@ -128,42 +126,6 @@ def kraus_to_choi(c: KrausChannel) -> np.ndarray:
     # v_k = vec(conj(K_k)) in row-major order.
     vecs = c.single().conj().reshape(c.nkraus, d * d)
     return np.einsum("ki,kj->ij", vecs, vecs.conj())
-
-
-def choi_to_kraus(entries, dims: SystemDims) -> KrausChannel:
-    """Kraus family from the eigendecomposition of a Choi matrix.
-
-    ``entries`` is a ``(D^2, D^2)`` array in the :func:`kraus_to_choi`
-    convention.  It must be Hermitian, have no eigenvalue below
-    ``-DEFAULT_TOL`` and have the identity as its index marginal (the channel
-    is unital), all within ``DEFAULT_TOL``; otherwise ``ValueError``.
-    Eigenvalues at or below 1e-12 are dropped.
-    """
-    d = dims.total
-    entries = np.asarray(entries, dtype=complex)
-    if entries.shape != (d * d, d * d):
-        raise ValueError(
-            f"Choi matrix must have shape ({d * d}, {d * d}), got {entries.shape}"
-        )
-    if not is_hermitian(entries):
-        raise ValueError("Choi matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(entries)
-    if evals.min() < -DEFAULT_TOL:
-        raise ValueError(f"Choi matrix has negative eigenvalue {evals.min():.3g}")
-    # Unitality of the channel == the marginal over the index factor is 1.
-    marg = np.trace(entries.reshape(d, d, d, d), axis1=0, axis2=2)
-    err = np.abs(marg - np.eye(d)).max()
-    if err > DEFAULT_TOL:
-        raise ValueError(
-            f"Choi marginal deviates from identity by {err:.3g}; "
-            "channel is not unital"
-        )
-    kraus = [
-        (np.sqrt(lam) * evecs[:, i]).conj().reshape(d, d)
-        for i, lam in enumerate(evals)
-        if lam > 1e-12
-    ]
-    return KrausChannel(kraus, dims)
 
 
 def mix(a: KrausChannel, b: KrausChannel, p: float) -> KrausChannel:

@@ -635,26 +635,28 @@ def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path):
     deriv = signalling_derivative(lattice, f, g, h)
 
     rows = []
-    ok = dhg == 0.0
+    # (got, expected) of every identity; each holds within atol relative to
+    # max(1, |expected|), since the scalar grows with lambda
+    identities = [(deriv, -2.0 * dfg * dfh)]
     for lam in p["lambdas"]:
         chain = sorkin_chain(lattice, f, g, h, lam)
-        expected_scalar = -2.0 * lam * dfg * dfh
         row = {
             "lam": lam,
             "coeff_g": chain.coefficient(g),
             "coeff_f": chain.coefficient(f),
             "scalar": chain.expectation,
             "expected_coeff_f": -2.0 * dfg,
-            "expected_scalar": expected_scalar,
+            "expected_scalar": -2.0 * lam * dfg * dfh,
         }
-        ok = (
-            ok
-            and abs(row["coeff_g"] - 1.0) <= atol
-            and abs(row["coeff_f"] - row["expected_coeff_f"]) <= atol
-            and abs(row["scalar"] - expected_scalar) <= atol
-        )
+        identities += [
+            (row["coeff_g"], 1.0),
+            (row["coeff_f"], row["expected_coeff_f"]),
+            (row["scalar"], row["expected_scalar"]),
+        ]
         rows.append(row)
-    ok = ok and abs(deriv - (-2.0 * dfg * dfh)) <= atol
+    ok = dhg == 0.0 and all(
+        abs(got - want) / max(1.0, abs(want)) <= atol for got, want in identities
+    )
     if p["require_nonzero"]:
         ok = ok and deriv != 0.0
 

@@ -138,8 +138,8 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     ``DEFAULT_TOL`` like every :class:`SorkinScenario`.  ``part`` is one
     oriented :class:`Bipartition` for one scenario, or a sequence of them for
     a stack with one member per entry, each drawn for its own direction.  A
-    stack takes one ``standard_normal`` draw, split scenario by scenario in
-    that order, so member ``j`` equals the ``j``-th of the single draws.
+    stack takes one ``standard_normal`` draw per run of equal directions, in
+    member order, so member ``j`` equals the ``j``-th of the single draws.
     """
     rng = _as_generator(rng)
     one = isinstance(part, Bipartition)
@@ -152,17 +152,12 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     runs = [(p, members.stop - members.start) for p, members in _direction_runs(parts)]
     if any(p.dims != dims for p, _ in runs):
         raise ValueError("the members' partitions have different dims")
-    sizes = [
-        (nkraus_prep * 2 * p.left_dim**2, 2 * d * d, 2 * p.right_dim**2) for p, _ in runs
-    ]
-    raw = rng.standard_normal(sum(n * sum(s) for (_, n), s in zip(runs, sizes)))
     kraus, raw_rho, obs = [], [], []
-    start = 0
-    for (p, n), s in zip(runs, sizes):
-        run = raw[start : start + n * sum(s)].reshape(n, sum(s))
-        start += n * sum(s)
-        raw_prep, raw_r, raw_obs = np.split(run, np.cumsum(s[:2]), axis=-1)
+    for p, n in runs:
         d_s, d_r = p.left_dim, p.right_dim
+        s = (nkraus_prep * 2 * d_s**2, 2 * d * d, 2 * d_r**2)
+        run = rng.standard_normal((n, sum(s)))
+        raw_prep, raw_r, raw_obs = np.split(run, np.cumsum(s[:2]), axis=-1)
         k = _unital(_ginibre(raw_prep.reshape(n, nkraus_prep, 2, d_s, d_s)))
         kraus.append(embed_operator(k, p.left, dims))
         raw_rho.append(raw_r.reshape(n, 2, d, d))

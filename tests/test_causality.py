@@ -20,7 +20,6 @@ from qcausal.causality import (
 )
 from qcausal.channels import (
     KrausChannel,
-    choi_to_kraus,
     cnot_channel,
     classical_one_way_channel,
     depolarizing_channel,
@@ -356,23 +355,6 @@ def _unitality_probe(eps):
     KrausChannel([np.sqrt(1.0 + eps) * I2], SystemDims((2,)))
 
 
-def _choi_probe(kind):
-    def probe(eps):
-        # the fully depolarizing channel's Choi matrix is 1/2, the identity
-        # channel's the projector onto vec(1) = e_0 + e_3
-        if kind == "hermitian":
-            j = np.eye(4) / 2
-            j[0, 1] = eps
-        elif kind == "negative":  # e_1 gets -eps, e_3 pays it back in the marginal
-            omega = np.eye(2).reshape(4)
-            j = np.outer(omega, omega) + eps * np.diag([0.0, -1.0, 0.0, 1.0])
-        else:  # marginal (1 + eps) * 1
-            j = (1.0 + eps) * np.eye(4) / 2
-        choi_to_kraus(j, SystemDims((2,)))
-
-    return probe
-
-
 def _scenario_probe(kind):
     def probe(eps):
         rho = np.outer(_ket(0, 0), _ket(0, 0))
@@ -405,9 +387,6 @@ def _random_stack_probe(eps):
 
 _TOL_PROBES = {
     "kraus-unitality": (_unitality_probe, "not unital"),
-    "choi-hermitian": (_choi_probe("hermitian"), "not Hermitian"),
-    "choi-negative": (_choi_probe("negative"), "negative eigenvalue"),
-    "choi-marginal": (_choi_probe("marginal"), "not unital"),
     "scenario-state": (_scenario_probe("state"), "negative eigenvalue"),
     "scenario-observable": (_scenario_probe("observable"), "receiver sites"),
     "scenario-prep": (_scenario_probe("prep"), "not local"),

@@ -1027,6 +1027,22 @@ class TestLatticeSorkinOp:
         assert err == "error: the report would hold a non-finite number\n"
         assert not (tmp_path / "lattice-sorkin-report.json").exists()
 
+    # the scalar grows with lambda, and -2 lam Delta(f,g) Delta(f,h) rounds
+    # otherwise than the chain: an absolute 1e-12 fails these correct chains
+    @pytest.mark.parametrize("lam", [12345.678, 1e8])
+    def test_large_lambda_is_compared_relative_to_the_scalar(self, lam, tmp_path):
+        cfg = dict(
+            self.WIDE,
+            k_region=[[t, x] for t in (8, 9) for x in range(20, 32)],
+            lambdas=[lam],
+        )
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["lattice-sorkin", "--config", path, "--out-dir", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "lattice-sorkin-report.json").read_text())["results"]
+        assert res["identity_ok"] is True
+        (row,) = res["rows"]
+        assert abs(row["scalar"] - row["expected_scalar"]) > 1e-12
+
     def test_spacelike_check_runs_once_per_placement(self, tmp_path, monkeypatch):
         # build_scenario checks each placement's fresh (g, h); the op's four
         # chains, one per lambda and the derivative's, find the verdict cached

@@ -5,7 +5,6 @@ import pytest
 
 from qcausal import _kernels, lattice
 from qcausal.lattice import (
-    _any_reaches,
     _base_table,
     _first_outside,
     _int_array,
@@ -149,9 +148,9 @@ def _frozen_build_scenario(lattice_, k, opts=None):
             "scenario time extent is long enough for signals to wrap around "
             "the spatial circle; enlarge n_sites or tighten the geometry"
         )
-    if _any_reaches(lattice_, k.points, h.support):
+    if any(_reaches(lattice_, p, q) for p in k.points for q in h.support):
         raise ValueError("internal geometry error: h intersects the future of K")
-    if _any_reaches(lattice_, g.support, k.points):
+    if any(_reaches(lattice_, q, p) for q in g.support for p in k.points):
         raise ValueError("internal geometry error: g intersects the past of K")
     return f, g, h
 
@@ -199,16 +198,16 @@ class TestGeometry:
         assert lat.distance(3, 3) == 0
 
     def test_reaches_and_spacelike(self):
-        assert _any_reaches(LAT, [(2, 5)], [(5, 7)])
-        assert not _any_reaches(LAT, [(2, 5)], [(5, 9)])
-        assert not _any_reaches(LAT, [(5, 7)], [(2, 5)])  # no backwards reach
+        assert _reaches(LAT, (2, 5), (5, 7))
+        assert not _reaches(LAT, (2, 5), (5, 9))
+        assert not _reaches(LAT, (5, 7), (2, 5))  # no backwards reach
         assert spacelike(LAT, (2, 5), (5, 9))
         assert not spacelike(LAT, (2, 5), (5, 8))  # lightlike edge
 
     def test_causal_future_hand_count(self):
         lat = LatticeSpec(7, 4)
         window = itertools.product(range(lat.n_steps), range(lat.n_sites))
-        fut = [q for q in window if _any_reaches(lat, [(1, 3)], [q])]
+        fut = [q for q in window if _reaches(lat, (1, 3), q)]
         expected = {(1, 3)}
         expected |= {(2, x) for x in (2, 3, 4)}
         expected |= {(3, x) for x in (1, 2, 3, 4, 5)}
@@ -220,8 +219,8 @@ class TestGeometry:
         window = list(itertools.product(range(lat.n_steps), range(lat.n_sites)))
         hits = 0
         for p, q in itertools.product(window, repeat=2):
-            future = _any_reaches(lat, [p], [q])
-            past = _any_reaches(lat, [(-q[0], q[1])], [(-p[0], p[1])])
+            future = _reaches(lat, p, q)
+            past = _reaches(lat, (-q[0], q[1]), (-p[0], p[1]))
             assert future == past
             hits += future
         assert 0 < hits < len(window) ** 2
@@ -243,8 +242,7 @@ class TestGeometry:
             sep = a.spacelike_separated(b, lat)
             assert type(sep) is bool
             assert sep == all(spacelike(lat, p, q) for p in a.points for q in b.points)
-            hit = _any_reaches(lat, a.points, b.points)
-            assert hit == any(_reaches(lat, p, q) for p in a.points for q in b.points)
+            hit = any(_reaches(lat, p, q) for p in a.points for q in b.points)
             verdicts.add((sep, hit))
         assert verdicts == {(True, False), (False, True), (False, False)}
 
@@ -521,14 +519,44 @@ class TestBuildScenario:
         assert g.region().spacelike_separated(h.region(), lat)
         assert signalling_derivative(lat, f, g, h) == 0.0
 
+    @staticmethod
+    def _random_geometries(n, seed):
+        """Random windows, options and scattered K, about 40% of them
+        buildable; K is drawn anywhere on the circle, edges included."""
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            lat = LatticeSpec(int(rng.integers(8, 65)), int(rng.integers(8, 33)))
+            opts = BuildOptions(*(int(v) for v in rng.integers((1, 0, 0), (4, 3, 3))))
+            nt = int(rng.integers(1, 4))
+            nx = int(rng.integers(1, lat.n_sites // 3 + 1))
+            t0 = int(rng.integers(0, lat.n_steps - nt + 1))
+            x0 = int(rng.integers(0, lat.n_sites - nx + 1))
+            box = [(t, x) for t in range(t0, t0 + nt) for x in range(x0, x0 + nx)]
+            keep = rng.random(len(box)) < 0.5
+            keep[int(rng.integers(len(box)))] = True
+            yield lat, Region(p for p, kept in zip(box, keep) if kept), opts
+
     def test_probe_placement_is_causally_clean(self):
-        lat = LatticeSpec(64, 16, 1.0)
-        k = Region([(t, x) for t in (6, 7) for x in range(20, 41)])
-        f, g, h = build_scenario(lat, k)
-        for p in h.support:
-            assert not any(_reaches(lat, kp, p) for kp in k.points)
-        for q in g.support:
-            assert not any(_reaches(lat, q, kp) for kp in k.points)
+        # build_scenario's placement alone keeps h out of the future of K
+        # and g out of its past; nothing checks it at run time but this
+        wide = (
+            LatticeSpec(64, 16, 1.0),
+            Region([(t, x) for t in (6, 7) for x in range(20, 41)]),
+            BuildOptions(),
+        )
+        built = 0
+        for lat, k, opts in [wide, *self._random_geometries(2000, 20)]:
+            try:
+                _, g, h = build_scenario(lat, k, opts)
+            except ValueError:
+                continue
+            built += 1
+            kt = [t for t, _ in k.points]
+            assert h.ts.max() <= min(kt) - opts.time_gap
+            assert g.ts.min() >= max(kt) + opts.time_gap
+            assert not any(_reaches(lat, p, q) for p in k.points for q in h.support)
+            assert not any(_reaches(lat, q, p) for q in g.support for p in k.points)
+        assert built > 500
 
     def test_no_room_before(self):
         lat = LatticeSpec(31, 12, 1.0)
