@@ -77,13 +77,8 @@ def is_local_channel(
     ``c`` and, like ``c(B) - B``, linear in a mixing weight.  A stack of
     channels is local when every member is.
     """
-    return _is_local(c.kraus, sites, c.dims, tol)
-
-
-def _is_local(ks, sites, dims: SystemDims, tol: float = DEFAULT_TOL) -> bool:
-    """:func:`is_local_channel` of the Kraus stack ``ks``."""
     sites = tuple(sorted(int(s) for s in sites))
-    gram = gram_sum(_off_block(ks, sites, dims))
+    gram = gram_sum(_off_block(c.kraus, sites, c.dims))
     return bool(np.abs(gram).max() <= tol)
 
 
@@ -105,28 +100,38 @@ def _direction_runs(partition) -> list:
 class SorkinScenario:
     """One complete signalling test: state, preparation, intervention, observable.
 
-    ``partition.left`` is the sender site set M; the preparation must be
-    local to it and the observable supported on the receiver sites
-    ``partition.right``.  All constraints are validated at construction,
-    within ``DEFAULT_TOL``.
+    ``partition.left`` is the sender site set M and ``partition.right`` the
+    receiver sites.  The state is global, ``(D, D)``.  The preparation is
+    held as a channel on the sender sites alone, Kraus family ``(k, d_S,
+    d_S)``, and the observable as a ``(d_R, d_R)`` operator on the receiver
+    sites alone, so both are local by type; each block's sites are in
+    ascending order.  Either may also be given on the whole system, as a
+    channel with the partition's dims and a ``(D, D)`` operator: that input
+    is checked for locality and support within ``DEFAULT_TOL`` and reduced
+    to its factor by partial trace.  The state must be a density matrix, the
+    observable Hermitian and the preparation unital (checked by
+    :class:`KrausChannel` at d_S), all within ``DEFAULT_TOL``.
 
     A stack of scenarios, tested against one intervention, has the same
     leading axes on ``rho``, ``observable`` and the Kraus stack of ``prep``;
     every member is validated.  Its ``partition`` is one oriented
     :class:`Bipartition` shared by every member, or, for a stack with one
     leading axis, a sequence of them (stored as a tuple), one per member:
-    each member is then checked against its own direction.  The support and
-    locality checks run once per run of equal directions.
+    each member is then checked against its own direction.  The factors of
+    members with different directions differ in shape, so for a sequence
+    ``prep`` and ``observable`` hold a tuple with one entry per run of equal
+    directions, in member order.
     """
 
     rho: np.ndarray
-    prep: KrausChannel
+    prep: KrausChannel | tuple[KrausChannel, ...]
     intervention: KrausChannel
-    observable: np.ndarray
+    observable: np.ndarray | tuple[np.ndarray, ...]
     partition: Bipartition | tuple[Bipartition, ...]
 
     def __post_init__(self):
-        if not isinstance(self.partition, Bipartition):
+        one = isinstance(self.partition, Bipartition)
+        if not one:
             self.partition = tuple(self.partition)
             if not self.partition:
                 raise ValueError("need one partition per member, got none")
@@ -134,43 +139,146 @@ class SorkinScenario:
         dims = runs[0][0].dims
         if any(part.dims != dims for part, _ in runs):
             raise ValueError("the members' partitions have different dims")
+        self.rho = np.asarray(self.rho, dtype=complex)
+        if 0 in self.rho.shape[:-2]:
+            raise ValueError("need at least one scenario")
         self.rho = check_density(self.rho)
         if self.rho.shape[-2:] != (dims.total, dims.total):
             raise ValueError("state dimension does not match the partition")
-        if self.prep.dims != dims or self.intervention.dims != dims:
+        if self.intervention.dims != dims:
             raise ValueError("channel dims do not match the partition")
         self.intervention.single()  # one channel, shared by every member
-        self.observable = np.asarray(self.observable, dtype=complex)
         lead = self.rho.shape[:-2]
-        if self.observable.shape[:-2] != lead or self.prep.kraus.shape[:-3] != lead:
-            raise ValueError(
-                f"state, preparation and observable stacks differ: "
-                f"{lead}, {self.prep.kraus.shape[:-3]}, {self.observable.shape[:-2]}"
-            )
-        if isinstance(self.partition, tuple) and lead != (len(self.partition),):
+        if not one and lead != (len(self.partition),):
             raise ValueError(
                 f"need one partition per member: {len(self.partition)} "
                 f"partitions for a stack of shape {lead}"
             )
-        if not is_hermitian(self.observable):
-            raise ValueError("observable is not Hermitian")
-        for part, members in runs:
-            if not is_supported_on(self.observable[members], part.right, dims):
-                raise ValueError("observable is not supported on the receiver sites")
-            if not _is_local(self.prep.kraus[members], part.left, dims):
-                raise ValueError("preparation is not local to the sender sites")
+        prep, obs = self.prep, self.observable
+        # a preparation or observable on the whole system is reduced to
+        # factors; factors are taken as they come, one per run for a sequence
+        whole_prep = isinstance(prep, KrausChannel) and prep.dims == dims
+        if whole_prep:
+            _same_stack("preparation", lead, prep.kraus.shape[:-3])
+        else:
+            preps = self._per_run(prep, runs)
+        if not isinstance(obs, tuple):
+            obs = np.asarray(obs, dtype=complex)
+        whole_obs = not isinstance(obs, tuple) and obs.shape[-2:] == self.rho.shape[-2:]
+        if whole_obs:
+            _same_stack("observable", lead, obs.shape[:-2])
+        else:
+            observables = self._per_run(obs, runs)
+        factors = []
+        for i, (part, members) in enumerate(runs):
+            if whole_prep:
+                c = prep if one else KrausChannel(prep.kraus[members], dims)
+                if not is_local_channel(c, part.left):
+                    raise ValueError("preparation is not local to the sender sites")
+                ks = partial_trace(c.kraus, dims, part.right) / part.right_dim
+                c = KrausChannel(ks, dims.sub(part.left))
+            else:
+                c = preps[i]
+                if not isinstance(c, KrausChannel) or c.dims != dims.sub(part.left):
+                    raise ValueError("channel dims do not match the partition")
+            if whole_obs:
+                o = obs[members]
+                if not is_supported_on(o, part.right, dims):
+                    raise ValueError("observable is not supported on the receiver sites")
+                o = partial_trace(o, dims, part.left) / part.left_dim
+            else:
+                o = np.asarray(observables[i], dtype=complex)
+                if o.shape[-2:] != (part.right_dim, part.right_dim):
+                    raise ValueError("observable dimension does not match the partition")
+            n = lead if one else (members.stop - members.start,)
+            _same_stack("preparation", n, c.kraus.shape[:-3])
+            _same_stack("observable", n, o.shape[:-2])
+            if not is_hermitian(o):
+                raise ValueError("observable is not Hermitian")
+            factors.append((c, o))
+        preps, observables = zip(*factors)
+        self.prep = preps[0] if one else preps
+        self.observable = observables[0] if one else observables
+
+    def _per_run(self, value, runs) -> list:
+        """A factor field as one entry per run of equal directions."""
+        if isinstance(self.partition, Bipartition):
+            return [value]
+        if not isinstance(value, tuple) or len(value) != len(runs):
+            raise ValueError(
+                f"need one factor per run of equal directions: {len(runs)} runs"
+            )
+        return list(value)
+
+    def _runs(self) -> list:
+        """``(part, members, prep, observable)`` per run of equal directions."""
+        runs = _direction_runs(self.partition)
+        factors = zip(self._per_run(self.prep, runs), self._per_run(self.observable, runs))
+        return [(*run, c, o) for run, (c, o) in zip(runs, factors)]
+
+
+def _same_stack(name: str, lead, got):
+    if got != lead:
+        raise ValueError(f"state and {name} stacks differ: {lead}, {got}")
+
+
+#: Entries per member of the products that apply a block of the
+#: intervention's Kraus operators at once in :func:`sorkin_violation`: a
+#: block holds ``max(1, _KRAUS_ENTRIES // D**2)`` operators, so a member's
+#: products take about 64 KiB at any Kraus count.
+_KRAUS_ENTRIES = 4096
 
 
 def sorkin_violation(s: SorkinScenario):
     """Preparation difference of the scenario; zero means no signalling seen.
 
+    ``tr(rho Phi_prep(E)) - tr(rho E)`` with ``E = Phi_int(1 (x) O_R)``.  The
+    intervention's rows are put in (receiver, sender) order, so that ``O_R``
+    acts by one matmul, and its columns in (sender, receiver) order, so that
+    ``E`` has its sender legs first; the preparation's factors ``P_j`` then
+    act on the sender legs of ``rho`` and ``E`` alone, as ``sum_j tr((P_j (x)
+    1) rho (P_j^+ (x) 1) E)``.  Each member is computed by its own BLAS calls,
+    so a stack gives its members' single results bit for bit.
+
     A float for one scenario, an array of one difference per member for a
     stack.
     """
-    evolved = s.intervention.apply(s.observable)
-    with_prep = np.trace(s.rho @ s.prep.apply(evolved), axis1=-2, axis2=-1)
-    without = np.trace(s.rho @ evolved, axis1=-2, axis2=-1)
-    diff = (with_prep - without).real
+    lead = s.rho.shape[:-2]
+    dims = s.intervention.dims
+    d, n = dims.total, dims.nsites
+    rho = s.rho.reshape(-1, d, d)
+    ks = s.intervention.kraus
+    step = max(1, _KRAUS_ENTRIES // d**2)
+    out = np.empty(len(rho))
+    for part, members, prep, obs in s._runs():
+        d_s, d_r = part.left_dim, part.right_dim
+        legs = part.left + part.right
+        # rows (receiver, Kraus index, sender), columns (sender, receiver)
+        rows = [1 + i for i in part.right] + [0] + [1 + i for i in part.left]
+        cols = [1 + n + i for i in legs]
+        kraus = ks.reshape(-1, *dims.dims * 2).transpose(*rows, *cols)
+        kraus = kraus.reshape(d_r, -1, d_s, d)
+        r = rho[members]
+        m = len(r)
+        o = obs.reshape(m, d_r, d_r)
+        # sum_i K_i^+ (1 (x) O_R) K_i, a block of Kraus operators at a time
+        evolved = 0
+        for i in range(0, len(ks), step):
+            b = kraus[:, i : i + step].reshape(d_r, -1)
+            ob = (o @ b).reshape(m, -1, d)
+            evolved = evolved + b.reshape(-1, d).conj().T @ ob
+        # the state with its legs in (sender, receiver) order, as evolved
+        r = r.reshape(m, *dims.dims * 2)
+        r = r.transpose(0, *(1 + i for i in legs), *(1 + n + i for i in legs))
+        r = r.reshape(m, d_s, d_r * d)
+        p = prep.kraus.reshape(m, -1, d_s, d_s)
+        prepared = (p.reshape(m, -1, d_s) @ r).reshape(m, -1, d, d)
+        p_dag = p.conj().swapaxes(-1, -2).reshape(m, -1, d_s)
+        kicked = (p_dag @ evolved.reshape(m, d_s, d_r * d)).reshape(m, -1, d, d)
+        with_prep = (prepared * kicked.swapaxes(-1, -2)).reshape(m, -1).sum(-1)
+        without = (r.reshape(m, d, d) * evolved.swapaxes(-1, -2)).reshape(m, -1).sum(-1)
+        out[members] = (with_prep - without).real
+    diff = out.reshape(lead)
     return float(diff) if diff.ndim == 0 else diff
 
 

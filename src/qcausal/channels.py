@@ -48,7 +48,7 @@ class KrausChannel:
             )
         self.kraus = ks
         with np.errstate(invalid="ignore", over="ignore"):
-            err = np.abs(gram_sum(ks) - np.eye(d)).max()
+            err = np.abs(gram_sum(ks) - np.eye(d)).max(initial=0.0)
         if not err <= DEFAULT_TOL:  # also catches NaN and inf entries
             raise ValueError(f"Kraus family is not unital: deviation {err:.3g}")
 

@@ -24,13 +24,7 @@ from .causality import (
     operator_schmidt_values,
 )
 from .channels import KrausChannel
-from .tensor import (
-    Bipartition,
-    SystemDims,
-    all_bipartitions,
-    embed_operator,
-    tensor_product,
-)
+from .tensor import Bipartition, SystemDims, all_bipartitions, tensor_product
 
 #: Number of histogram bins for second Schmidt values in the experiment record.
 HISTOGRAM_BINS = 40
@@ -41,8 +35,8 @@ SAMPLE_BLOCK = 256
 
 #: Sorkin scenarios drawn, validated and tested as one stack.  It bounds a
 #: run's memory at any scenario count: at D = 64 a block's working arrays take
-#: about 26 MB (210 MB for 256 scenarios), and from D = 8 up larger blocks are
-#: no faster.  Each scenario's result does not depend on it.
+#: about 18 MB (72 MB for 256 scenarios), and from D = 16 up blocks of 256
+#: are at most about 6% faster.  Each scenario's result does not depend on it.
 SCENARIO_BLOCK = 32
 
 
@@ -133,19 +127,20 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     """Random admissible scenario, or stack of them, for a given intervention.
 
     Each scenario draws a random unital preparation of three Kraus operators
-    on its sender sites (embedded so it acts trivially elsewhere), a random
-    state and a random Hermitian receiver observable, validated within
-    ``DEFAULT_TOL`` like every :class:`SorkinScenario`.  ``part`` is one
-    oriented :class:`Bipartition` for one scenario, or a sequence of them for
-    a stack with one member per entry, each drawn for its own direction.  A
-    stack takes one ``standard_normal`` draw per run of equal directions, in
+    on its sender sites, a random state and a random Hermitian receiver
+    observable, validated within ``DEFAULT_TOL`` like every
+    :class:`SorkinScenario`; the preparation and the observable stay on
+    their blocks, as the scenario holds them.  ``part`` is one oriented
+    :class:`Bipartition` for one scenario, or a sequence of them for a stack
+    with one member per entry, each drawn for its own direction.  A stack
+    takes one ``standard_normal`` draw per run of equal directions, in
     member order, so member ``j`` equals the ``j``-th of the single draws.
     """
     rng = _as_generator(rng)
     one = isinstance(part, Bipartition)
     parts = (part,) if one else tuple(part)
     if not parts:
-        raise ValueError("need at least one partition to draw a scenario for")
+        raise ValueError("need at least one scenario")
     dims = parts[0].dims
     d = dims.total
     nkraus_prep = 3
@@ -158,22 +153,17 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
         s = (nkraus_prep * 2 * d_s**2, 2 * d * d, 2 * d_r**2)
         run = rng.standard_normal((n, sum(s)))
         raw_prep, raw_r, raw_obs = np.split(run, np.cumsum(s[:2]), axis=-1)
-        k = _unital(_ginibre(raw_prep.reshape(n, nkraus_prep, 2, d_s, d_s)))
-        kraus.append(embed_operator(k, p.left, dims))
+        kraus.append(_unital(_ginibre(raw_prep.reshape(n, nkraus_prep, 2, d_s, d_s))))
         raw_rho.append(raw_r.reshape(n, 2, d, d))
-        o = _hermitian_part(_complex(raw_obs.reshape(n, 2, d_r, d_r)))
-        obs.append(embed_operator(o, p.right, dims))
+        obs.append(_hermitian_part(_complex(raw_obs.reshape(n, 2, d_r, d_r))))
     rho = _density(_ginibre(np.concatenate(raw_rho)))
-    kraus, obs = np.concatenate(kraus), np.concatenate(obs)
     if one:
-        rho, kraus, obs = rho[0], kraus[0], obs[0]
-    return SorkinScenario(
-        rho=rho,
-        prep=KrausChannel(kraus, dims),
-        intervention=intervention,
-        observable=obs,
-        partition=part if one else parts,
-    )
+        return SorkinScenario(
+            rho[0], KrausChannel(kraus[0][0], dims.sub(part.left)), intervention,
+            obs[0][0], part,
+        )
+    prep = tuple(KrausChannel(k, dims.sub(p.left)) for k, (p, _) in zip(kraus, runs))
+    return SorkinScenario(rho, prep, intervention, tuple(obs), parts)
 
 
 @dataclass

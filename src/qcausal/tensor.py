@@ -74,6 +74,10 @@ class SystemDims:
         """Dimension of the tensor factor on ``sites``; 1 for no sites."""
         return math.prod(self.dims[s] for s in sites)
 
+    def sub(self, sites) -> "SystemDims":
+        """The dims of the tensor factor on ``sites``, in the order given."""
+        return SystemDims(tuple(self.dims[s] for s in sites))
+
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -231,7 +235,8 @@ def realign(op, part: Bipartition) -> np.ndarray:
 def gram_sum(ks) -> np.ndarray:
     """``sum_i K_i^+ K_i`` over the ``k`` axis of a ``(..., k, d, d)`` stack,
     as one matmul."""
-    flat = ks.reshape(ks.shape[:-3] + (-1, ks.shape[-1]))
+    *lead, k, rows, cols = ks.shape
+    flat = ks.reshape(*lead, k * rows, cols)
     return flat.conj().swapaxes(-1, -2) @ flat
 
 

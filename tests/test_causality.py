@@ -373,16 +373,30 @@ def _scenario_probe(kind):
 
 
 def _random_stack_probe(eps):
-    """Member 2 of a drawn stack gets its Kraus operators times the unitary
-    sqrt(1 - eps) - i sqrt(eps) (1 (x) Z (x) 1), whose off-sender Gram is eps."""
+    """Member 2 of a drawn stack, embedded, gets its Kraus operators times the
+    unitary sqrt(1 - eps) - i sqrt(eps) (1 (x) Z (x) 1), whose off-sender
+    Gram is eps."""
     part = Bipartition.split(SystemDims((2, 2, 2)), (0,))
     g = RngStream(41).generator()
     s = random_sorkin_scenario([part] * 4, random_kraus_channel(part.dims, 2, g), g)
     flip = embed_operator(Z, (1,), part.dims)
-    kraus = s.prep.kraus.copy()
+    kraus = embed_operator(s.prep[0].kraus, part.left, part.dims)
     kraus[2] = kraus[2] @ (np.sqrt(1.0 - eps) * np.eye(8) - 1j * np.sqrt(eps) * flip)
     prep = KrausChannel(kraus, part.dims)
-    SorkinScenario(s.rho, prep, s.intervention, s.observable, part)
+    obs = embed_operator(s.observable[0], part.right, part.dims)
+    SorkinScenario(s.rho, prep, s.intervention, obs, part)
+
+
+def _sender_unitality_probe(eps):
+    """Member 2 of a drawn stack gets its sender Kraus factors times
+    sqrt(1 + eps), which moves their Gram sum off the identity by eps."""
+    part = Bipartition.split(SystemDims((2, 3, 2)), (0, 2))
+    g = RngStream(42).generator()
+    s = random_sorkin_scenario([part] * 4, random_kraus_channel(part.dims, 2, g), g)
+    kraus = s.prep[0].kraus.copy()
+    kraus[2] = np.sqrt(1.0 + eps) * kraus[2]
+    prep = KrausChannel(kraus, SystemDims((2, 2)))
+    SorkinScenario(s.rho, prep, s.intervention, s.observable[0], part)
 
 
 _TOL_PROBES = {
@@ -391,6 +405,7 @@ _TOL_PROBES = {
     "scenario-observable": (_scenario_probe("observable"), "receiver sites"),
     "scenario-prep": (_scenario_probe("prep"), "not local"),
     "random-stack-prep": (_random_stack_probe, "not local"),
+    "random-stack-sender-unitality": (_sender_unitality_probe, "not unital"),
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qcausal
-from qcausal import sampling
+from qcausal import causality, channels, sampling, tensor
 from qcausal.causality import is_local_channel, is_supported_on, operator_schmidt_values
 from qcausal.sampling import (
     HISTOGRAM_BINS,
@@ -21,13 +21,14 @@ from qcausal.sampling import (
     random_sorkin_scenario,
 )
 from qcausal import cli
-from qcausal.causality import sorkin_violation
+from qcausal.causality import SorkinScenario, sorkin_violation
 from qcausal.channels import (
     KrausChannel,
     depolarizing_channel,
     embed_local,
     from_unitary,
     identity_channel,
+    local_random_channel,
 )
 from qcausal.tensor import (
     Bipartition,
@@ -105,9 +106,11 @@ class TestOtherSamplers:
     def test_random_scenario_is_admissible(self):
         part = Bipartition.split(SystemDims((2, 3)), (0,))
         s = random_sorkin_scenario(part, identity_channel(part.dims), RngStream(47))
-        # the constructor validates; double-check the two locality facts
-        assert is_local_channel(s.prep, part.left)
-        assert is_supported_on(s.observable, part.right, part.dims)
+        # the constructor validates; double-check the two locality facts of
+        # the factors embedded into the whole system
+        assert is_local_channel(embed_local(s.prep, part.left, part.dims), part.left)
+        obs = embed_operator(s.observable, part.right, part.dims)
+        assert is_supported_on(obs, part.right, part.dims)
 
 
 # Frozen single-draw forms of the samplers, as they were before scenarios
@@ -136,17 +139,30 @@ def _frozen_hermitian(rng, n):
     return (g + g.conj().T) / 2
 
 
-def _frozen_scenario(part, rng, nkraus_prep=3):
+def _frozen_factors(part, rng, nkraus_prep=3):
     """One scenario drawn as random_sorkin_scenario drew it one at a time:
     sender Ginibres, then the state, then the receiver Hermitian.  Returns
-    (rho, prep, observable)."""
+    (rho, the preparation's sender Kraus family, the receiver observable)."""
     dims = part.dims
-    sender = SystemDims(tuple(dims.dims[s] for s in part.left))
-    gs = [_frozen_ginibre(rng, sender.total) for _ in range(nkraus_prep)]
-    prep = embed_local(KrausChannel(_frozen_unital(gs), sender), part.left, dims)
+    gs = [_frozen_ginibre(rng, part.left_dim) for _ in range(nkraus_prep)]
     rho = _frozen_density(rng, dims.total)
-    obs = _frozen_hermitian(rng, dims.block_dim(part.right))
-    return rho, prep, embed_operator(obs, part.right, dims)
+    obs = _frozen_hermitian(rng, part.right_dim)
+    return rho, np.array(_frozen_unital(gs)), obs
+
+
+def _embedded(part, kraus, obs):
+    """Sender Kraus factors and a receiver observable embedded into the whole
+    system: (preparation channel, (D, D) observable)."""
+    dims = part.dims
+    sender = KrausChannel(kraus, SystemDims(tuple(dims.dims[s] for s in part.left)))
+    return embed_local(sender, part.left, dims), embed_operator(obs, part.right, dims)
+
+
+def _frozen_scenario(part, rng, nkraus_prep=3):
+    """:func:`_frozen_factors` embedded into the whole system: (rho, prep,
+    observable), the preparation a channel and the observable (D, D)."""
+    rho, kraus, obs = _frozen_factors(part, rng, nkraus_prep)
+    return (rho, *_embedded(part, kraus, obs))
 
 
 def _frozen_violation(rho, prep, intervention, obs) -> float:
@@ -161,13 +177,33 @@ def _intervention(kind, dims, rng):
         return from_unitary(haar_unitary(dims.total, rng), dims)
     if kind == "depolarizing":
         return depolarizing_channel(dims, 0.37)
+    if kind == "local-random":
+        return local_random_channel(dims, rng)
     return random_kraus_channel(dims, 3, rng)
+
+
+def _assert_close_to_the_loop(got, want):
+    """Violations agree with the frozen loop within 1e-12 * max(1, |v|): the
+    contraction order differs, so the last bits may."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _member_factors(stack):
+    """Each member's (sender Kraus family, receiver observable), in member
+    order, from a stack drawn for a sequence of directions."""
+    kraus = [k for c in stack.prep for k in c.kraus]
+    obs = [o for run in stack.observable for o in run]
+    return kraus, obs
 
 
 class TestStackedScenarios:
     """A stack of n scenarios is the n single draws, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["haar", "depolarizing", "kraus"])
+    # the (0, 2) senders are non-contiguous and the (1,) sender of (2, 3, 2)
+    # sits in the middle
+    @pytest.mark.parametrize("kind", ["haar", "depolarizing", "kraus", "local-random"])
     @pytest.mark.parametrize(
         "dims, left",
         [
@@ -177,6 +213,13 @@ class TestStackedScenarios:
             ((2, 3), (1,)),
             ((2, 2, 2), (0, 2)),
             ((3, 3), (0,)),
+            ((3, 2), (0,)),
+            ((3, 2), (1,)),
+            ((2, 2, 2), (1,)),
+            ((4, 4), (0,)),
+            ((2, 3, 2), (0, 2)),
+            ((2, 3, 2), (1,)),
+            ((2, 3, 2), (0, 1)),
         ],
     )
     def test_violations_equal_the_loop(self, dims, left, kind):
@@ -186,15 +229,21 @@ class TestStackedScenarios:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         c = _intervention(kind, dims, a)
         assert np.array_equal(_intervention(kind, dims, b).kraus, c.kraus)
+        frozen = [_frozen_factors(part, a) for _ in range(9)]
+        stack = random_sorkin_scenario([part] * 9, c, b)
+        # the drawn factors are the frozen ones, bit for bit
+        kraus, obs = _member_factors(stack)
+        for j, (rho, k, o) in enumerate(frozen):
+            assert np.array_equal(stack.rho[j], rho)
+            assert np.array_equal(kraus[j], k)
+            assert np.array_equal(obs[j], o)
         want = []
-        for _ in range(9):
-            rho, prep, obs = _frozen_scenario(part, a)
-            want.append(_frozen_violation(rho, prep, c, obs))
-        want = np.array(want)
-        got = sorkin_violation(random_sorkin_scenario([part] * 9, c, b))
+        for rho, k, o in frozen:
+            prep, observable = _embedded(part, k, o)
+            want.append(_frozen_violation(rho, prep, c, observable))
+        got = sorkin_violation(stack)
         assert got.shape == (9,)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        _assert_close_to_the_loop(got, want)
         # both streams stop at the same place
         assert a.standard_normal() == b.standard_normal()
 
@@ -204,11 +253,12 @@ class TestStackedScenarios:
         one = random_sorkin_scenario(part, c, RngStream(60))
         stack = random_sorkin_scenario([part], c, RngStream(60))
         assert one.rho.shape == (6, 6) and stack.rho.shape == (1, 6, 6)
-        assert one.prep.kraus.shape == (3, 6, 6)
+        assert one.prep.kraus.shape == (3, 3, 3)
         assert np.array_equal(stack.rho[0], one.rho)
-        assert np.array_equal(stack.observable[0], one.observable)
-        assert np.array_equal(stack.prep.kraus[0], one.prep.kraus)
+        assert np.array_equal(stack.observable[0][0], one.observable)
+        assert np.array_equal(stack.prep[0].kraus[0], one.prep.kraus)
         assert type(sorkin_violation(one)) is float
+        assert sorkin_violation(stack)[0] == sorkin_violation(one)
 
     def test_mixed_stack_is_the_single_draws(self):
         dims = SystemDims((2, 3, 2))
@@ -218,13 +268,16 @@ class TestStackedScenarios:
         parts = [p, p, q, p, q, q]
         stack = random_sorkin_scenario(parts, c, a)
         assert stack.partition == tuple(parts)
+        kraus, obs = _member_factors(stack)
+        violations = sorkin_violation(stack)
         for j, part in enumerate(parts):
             one = random_sorkin_scenario(part, c, b)
             assert np.array_equal(stack.rho[j], one.rho)
-            assert np.array_equal(stack.prep.kraus[j], one.prep.kraus)
-            assert np.array_equal(stack.observable[j], one.observable)
+            assert np.array_equal(kraus[j], one.prep.kraus)
+            assert np.array_equal(obs[j], one.observable)
+            assert violations[j] == sorkin_violation(one)
         assert a.standard_normal() == b.standard_normal()
-        with pytest.raises(ValueError, match="at least one partition"):
+        with pytest.raises(ValueError, match="at least one scenario"):
             random_sorkin_scenario([], c, a)
         other = Bipartition.split(SystemDims((3, 2, 2)), (0,))
         with pytest.raises(ValueError, match="different dims"):
@@ -279,7 +332,7 @@ class TestStackedScenarios:
                     rho, prep, obs = _frozen_scenario(oriented, rng)
                     worst = max(worst, abs(_frozen_violation(rho, prep, c, obs)))
         assert code == 0
-        assert report["results"]["sorkin_max"] == worst
+        _assert_close_to_the_loop(report["results"]["sorkin_max"], worst)
         # every stack but the last holds a full block
         n_members = 5 * 2 * len(all_bipartitions(dims))
         full = block or sampling.SCENARIO_BLOCK
@@ -287,6 +340,74 @@ class TestStackedScenarios:
         assert sizes[:-1] == [full] * (len(sizes) - 1)
         # both streams stop at the same place
         assert streams[-1].standard_normal() == rng.standard_normal()
+
+
+class TestFactoredScenarios:
+    """Scenarios hold the preparation on the sender block and the observable
+    on the receiver block."""
+
+    def test_embedded_input_is_reduced_to_the_drawn_factors(self):
+        part = Bipartition.split(SystemDims((2, 3, 2)), (0, 2))
+        c = random_kraus_channel(part.dims, 3, RngStream(66))
+        s = random_sorkin_scenario(part, c, RngStream(67))
+        embedded = SorkinScenario(
+            s.rho,
+            embed_local(s.prep, part.left, part.dims),
+            c,
+            embed_operator(s.observable, part.right, part.dims),
+            part,
+        )
+        assert embedded.prep.dims == SystemDims((2, 2))
+        np.testing.assert_allclose(embedded.prep.kraus, s.prep.kraus, atol=1e-15)
+        np.testing.assert_allclose(embedded.observable, s.observable, atol=1e-15)
+        v = sorkin_violation(s)
+        assert abs(sorkin_violation(embedded) - v) <= 1e-12 * max(1.0, abs(v))
+
+    def test_stacked_path_embeds_and_applies_nothing(self, monkeypatch):
+        """The draw and the test of a mixed-direction stack, as check-causal
+        runs them, call none of the D x D locality helpers."""
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (tensor, causality, channels, sampling):
+            for name in ("embed_operator", "partial_trace"):
+                if hasattr(module, name):
+                    spy(module, name)
+        for name in ("_off_block", "is_supported_on", "is_local_channel"):
+            spy(causality, name)
+        spy(KrausChannel, "apply")
+        dims = SystemDims((2, 3, 2))
+        c = random_kraus_channel(dims, 2, RngStream(68))
+        directions = [p for q in all_bipartitions(dims) for p in (q, q.swapped())]
+        parts = [p for p in directions for _ in range(3)]
+        s = random_sorkin_scenario(parts, c, RngStream(69).generator())
+        assert sorkin_violation(s).shape == (len(parts),)
+        assert calls == []
+        # the spies do count: the D x D boundary calls them
+        SorkinScenario(
+            s.rho[:3],
+            embed_local(s.prep[0], parts[0].left, dims),
+            c,
+            embed_operator(s.observable[0], parts[0].right, dims),
+            parts[0],
+        )
+        assert "is_local_channel" in calls and "_off_block" in calls
+
+    def test_refuses_an_empty_stack(self):
+        dims = SystemDims((2, 2))
+        part = Bipartition.split(dims, (0,))
+        c = identity_channel(dims)
+        empty = KrausChannel(np.zeros((0, 1, 4, 4)), dims)
+        with pytest.raises(ValueError, match="need at least one scenario"):
+            SorkinScenario(np.zeros((0, 4, 4)), empty, c, np.zeros((0, 4, 4)), part)
 
 
 class TestMeasureZeroExperiment:
