@@ -35,6 +35,7 @@ from .tensor import (
     DEFAULT_TOL,
     Bipartition,
     SystemDims,
+    _site_indices,
     all_bipartitions,
     check_density,
     embed_operator,
@@ -52,40 +53,38 @@ from .tensor import (
 def _off_block(ops, sites, dims: SystemDims) -> np.ndarray:
     """``op - embed(tr_rest(op) / d_rest, sites)`` for each op of a (..., D, D)
     stack: the part off the algebra on ``sites``, zero exactly on that algebra."""
+    sites = tuple(sorted(_site_indices(sites)))
     rest = tuple(s for s in range(dims.nsites) if s not in sites)
     reduced = partial_trace(ops, dims, rest) / dims.block_dim(rest)
     return ops - embed_operator(reduced, sites, dims)
 
 
-def is_supported_on(op, sites, dims: SystemDims, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``op`` equals (operator on sites) (x) identity elsewhere."""
-    op = np.asarray(op, dtype=complex)
-    sites = tuple(sorted(int(s) for s in sites))
-    return bool(np.abs(_off_block(op, sites, dims)).max() <= tol)
+def is_supported_on(op, sites, dims: SystemDims) -> bool:
+    """True if ``op``, or every op of a ``(..., D, D)`` stack, equals (operator
+    on sites) (x) identity elsewhere within ``DEFAULT_TOL``; an empty stack is."""
+    off = _off_block(np.asarray(op, dtype=complex), sites, dims)
+    return bool(np.abs(off).max(initial=0.0) <= DEFAULT_TOL)
 
 
-def is_local_channel(
-    c: KrausChannel, sites, tol: float = DEFAULT_TOL
-) -> bool:
+def is_local_channel(c: KrausChannel, sites) -> bool:
     """True if ``c`` acts as the identity on every operator supported off ``sites``.
 
-    Tests ``max |sum_i off(K_i)^+ off(K_i)| <= tol``, ``off`` being the part
-    off the algebra on ``sites``.  If ``c`` fixes every ``B`` off ``sites`` it
-    fixes ``B^+ B``, so ``sum_i [B, K_i]^+ [B, K_i] = 0`` (multiplicative
-    domain, Choi 1974): every ``K_i`` lies in the algebra on ``sites``; the
-    converse is plain.  The Gram sum is the same for every Kraus family of
-    ``c`` and, like ``c(B) - B``, linear in a mixing weight.  A stack of
-    channels is local when every member is.
+    Tests ``max |sum_i off(K_i)^+ off(K_i)| <= DEFAULT_TOL``, ``off`` being
+    the part off the algebra on ``sites``.  If ``c`` fixes every ``B`` off
+    ``sites`` it fixes ``B^+ B``, so ``sum_i [B, K_i]^+ [B, K_i] = 0``
+    (multiplicative domain, Choi 1974): every ``K_i`` lies in the algebra on
+    ``sites``; the converse is plain.  The Gram sum is the same for every
+    Kraus family of ``c`` and, like ``c(B) - B``, linear in a mixing weight.
+    A stack of channels is local when every member is; an empty stack is.
     """
-    sites = tuple(sorted(int(s) for s in sites))
     gram = gram_sum(_off_block(c.kraus, sites, c.dims))
-    return bool(np.abs(gram).max() <= tol)
+    return bool(np.abs(gram).max(initial=0.0) <= DEFAULT_TOL)
 
 
 def _direction_runs(partition) -> list:
     """``(part, index)`` for each run of equal directions of a scenario's
-    ``partition``: the whole stack (``...``) for one :class:`Bipartition`, a
-    slice of the member axis for each run of a sequence."""
+    ``partition``: the whole scenario (``...``) for one :class:`Bipartition`,
+    a slice of the member axis for each run of a sequence."""
     if isinstance(partition, Bipartition):
         return [(partition, ...)]
     runs, start = [], 0
@@ -98,29 +97,26 @@ def _direction_runs(partition) -> list:
 
 @dataclass
 class SorkinScenario:
-    """One complete signalling test: state, preparation, intervention, observable.
+    """One complete signalling test, or a stack of them, against one intervention.
 
     ``partition.left`` is the sender site set M and ``partition.right`` the
-    receiver sites.  The state is global, ``(D, D)``.  The preparation is
-    held as a channel on the sender sites alone, Kraus family ``(k, d_S,
-    d_S)``, and the observable as a ``(d_R, d_R)`` operator on the receiver
-    sites alone, so both are local by type; each block's sites are in
-    ascending order.  Either may also be given on the whole system, as a
-    channel with the partition's dims and a ``(D, D)`` operator: that input
-    is checked for locality and support within ``DEFAULT_TOL`` and reduced
-    to its factor by partial trace.  The state must be a density matrix, the
-    observable Hermitian and the preparation unital (checked by
-    :class:`KrausChannel` at d_S), all within ``DEFAULT_TOL``.
+    receiver sites.  The preparation is held as a channel on the sender
+    sites alone, Kraus family ``(k, d_S, d_S)``, and the observable as a
+    ``(d_R, d_R)`` operator on the receiver sites alone, so both are local by
+    type; each block's sites are in ascending order.  The state must be a
+    density matrix, the observable Hermitian and the preparation unital
+    (checked by :class:`KrausChannel` at d_S), all within ``DEFAULT_TOL``.
+    Two forms are accepted, any other raises ``ValueError``:
 
-    A stack of scenarios, tested against one intervention, has the same
-    leading axes on ``rho``, ``observable`` and the Kraus stack of ``prep``;
-    every member is validated.  Its ``partition`` is one oriented
-    :class:`Bipartition` shared by every member, or, for a stack with one
-    leading axis, a sequence of them (stored as a tuple), one per member:
-    each member is then checked against its own direction.  The factors of
-    members with different directions differ in shape, so for a sequence
-    ``prep`` and ``observable`` hold a tuple with one entry per run of equal
-    directions, in member order.
+    * One scenario: a :class:`Bipartition`, a ``(D, D)`` state, and the
+      preparation and observable each as its factor or on the whole system
+      (a channel with the partition's dims, a ``(D, D)`` operator), which is
+      checked for locality and support and reduced to its factor.
+    * A stack of ``n``, as :func:`random_sorkin_scenario` draws it: a
+      sequence of ``n`` bipartitions, one per member (stored as a tuple), an
+      ``(n, D, D)`` state, and ``prep`` and ``observable`` as tuples of one
+      factor stack per run of equal directions, in member order (``(m, k,
+      d_S, d_S)`` Kraus and ``(m, d_R, d_R)`` for a run of ``m``).
     """
 
     rho: np.ndarray
@@ -149,48 +145,43 @@ class SorkinScenario:
             raise ValueError("channel dims do not match the partition")
         self.intervention.single()  # one channel, shared by every member
         lead = self.rho.shape[:-2]
-        if not one and lead != (len(self.partition),):
+        if lead != (() if one else (len(self.partition),)):
+            got = "one Bipartition" if one else f"{len(self.partition)} partitions"
             raise ValueError(
-                f"need one partition per member: {len(self.partition)} "
-                f"partitions for a stack of shape {lead}"
+                f"need one partition per member: {got} for a stack of shape {lead}"
             )
         prep, obs = self.prep, self.observable
-        # a preparation or observable on the whole system is reduced to
-        # factors; factors are taken as they come, one per run for a sequence
-        whole_prep = isinstance(prep, KrausChannel) and prep.dims == dims
-        if whole_prep:
-            _same_stack("preparation", lead, prep.kraus.shape[:-3])
-        else:
-            preps = self._per_run(prep, runs)
-        if not isinstance(obs, tuple):
-            obs = np.asarray(obs, dtype=complex)
-        whole_obs = not isinstance(obs, tuple) and obs.shape[-2:] == self.rho.shape[-2:]
-        if whole_obs:
-            _same_stack("observable", lead, obs.shape[:-2])
-        else:
-            observables = self._per_run(obs, runs)
-        factors = []
-        for i, (part, members) in enumerate(runs):
+        whole_prep = whole_obs = False
+        if one:
+            # a preparation or observable on the whole system is reduced to
+            # its factor below
+            whole_prep = isinstance(prep, KrausChannel) and prep.dims == dims
             if whole_prep:
-                c = prep if one else KrausChannel(prep.kraus[members], dims)
+                _same_stack("preparation", lead, prep.kraus.shape[:-3])
+            obs = np.asarray(obs, dtype=complex)
+            whole_obs = obs.shape[-2:] == self.rho.shape
+            if whole_obs:
+                _same_stack("observable", lead, obs.shape[:-2])
+            prep, obs = [prep], [obs]
+        elif not all(isinstance(v, tuple) and len(v) == len(runs) for v in (prep, obs)):
+            raise ValueError(f"need one factor per run of equal directions: {len(runs)} runs")
+        factors = []
+        for (part, members), c, o in zip(runs, prep, obs):
+            if whole_prep:
                 if not is_local_channel(c, part.left):
                     raise ValueError("preparation is not local to the sender sites")
                 ks = partial_trace(c.kraus, dims, part.right) / part.right_dim
                 c = KrausChannel(ks, dims.sub(part.left))
-            else:
-                c = preps[i]
-                if not isinstance(c, KrausChannel) or c.dims != dims.sub(part.left):
-                    raise ValueError("channel dims do not match the partition")
+            elif not isinstance(c, KrausChannel) or c.dims != dims.sub(part.left):
+                raise ValueError("channel dims do not match the partition")
+            o = np.asarray(o, dtype=complex)
             if whole_obs:
-                o = obs[members]
                 if not is_supported_on(o, part.right, dims):
                     raise ValueError("observable is not supported on the receiver sites")
                 o = partial_trace(o, dims, part.left) / part.left_dim
-            else:
-                o = np.asarray(observables[i], dtype=complex)
-                if o.shape[-2:] != (part.right_dim, part.right_dim):
-                    raise ValueError("observable dimension does not match the partition")
-            n = lead if one else (members.stop - members.start,)
+            elif o.shape[-2:] != (part.right_dim, part.right_dim):
+                raise ValueError("observable dimension does not match the partition")
+            n = self.rho[members].shape[:-2]
             _same_stack("preparation", n, c.kraus.shape[:-3])
             _same_stack("observable", n, o.shape[:-2])
             if not is_hermitian(o):
@@ -199,22 +190,6 @@ class SorkinScenario:
         preps, observables = zip(*factors)
         self.prep = preps[0] if one else preps
         self.observable = observables[0] if one else observables
-
-    def _per_run(self, value, runs) -> list:
-        """A factor field as one entry per run of equal directions."""
-        if isinstance(self.partition, Bipartition):
-            return [value]
-        if not isinstance(value, tuple) or len(value) != len(runs):
-            raise ValueError(
-                f"need one factor per run of equal directions: {len(runs)} runs"
-            )
-        return list(value)
-
-    def _runs(self) -> list:
-        """``(part, members, prep, observable)`` per run of equal directions."""
-        runs = _direction_runs(self.partition)
-        factors = zip(self._per_run(self.prep, runs), self._per_run(self.observable, runs))
-        return [(*run, c, o) for run, (c, o) in zip(runs, factors)]
 
 
 def _same_stack(name: str, lead, got):
@@ -250,7 +225,9 @@ def sorkin_violation(s: SorkinScenario):
     ks = s.intervention.kraus
     step = max(1, _KRAUS_ENTRIES // d**2)
     out = np.empty(len(rho))
-    for part, members, prep, obs in s._runs():
+    one = isinstance(s.partition, Bipartition)
+    preps, observables = ([s.prep], [s.observable]) if one else (s.prep, s.observable)
+    for (part, members), prep, obs in zip(_direction_runs(s.partition), preps, observables):
         d_s, d_r = part.left_dim, part.right_dim
         legs = part.left + part.right
         # rows (receiver, Kraus index, sender), columns (sender, receiver)

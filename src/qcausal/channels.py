@@ -16,6 +16,7 @@ import numpy as np
 from .tensor import (
     DEFAULT_TOL,
     SystemDims,
+    _site_indices,
     embed_operator,
     from_re_im,
     gram_sum,
@@ -104,7 +105,7 @@ def embed_local(c: KrausChannel, sites, ambient: SystemDims) -> KrausChannel:
     ``c.dims`` must equal the ambient dimensions at ``sites`` (in the order
     given).  Every operator supported on the complement is left fixed.
     """
-    sites = tuple(int(s) for s in sites)
+    sites = _site_indices(sites)
     expected = tuple(ambient.dims[s] for s in sites)
     if c.dims.dims != expected:
         raise ValueError(

@@ -132,7 +132,9 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     :class:`SorkinScenario`; the preparation and the observable stay on
     their blocks, as the scenario holds them.  ``part`` is one oriented
     :class:`Bipartition` for one scenario, or a sequence of them for a stack
-    with one member per entry, each drawn for its own direction.  A stack
+    with one member per entry, each drawn for its own direction (``[part] *
+    n`` for ``n`` members in one direction): the two forms of
+    :class:`SorkinScenario`, built from factors.  A stack
     takes one ``standard_normal`` draw per run of equal directions, in
     member order, so member ``j`` equals the ``j``-th of the single draws.
     """

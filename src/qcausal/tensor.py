@@ -23,9 +23,10 @@ from itertools import combinations
 
 import numpy as np
 
-#: Absolute tolerance of every structural check an object runs on itself
-#: (unitality, Hermiticity, positivity, support and locality).  Predicates
-#: asked at a tolerance take it as their default; verdict tolerances are
+#: Absolute tolerance of every structural check (unitality, Hermiticity,
+#: positivity, support and locality), both those an object runs on itself and
+#: the predicates ``is_unitary``, ``is_hermitian``, ``check_density``,
+#: ``is_supported_on`` and ``is_local_channel``.  Verdict tolerances are
 #: config fields.
 DEFAULT_TOL = 1e-10
 
@@ -94,8 +95,8 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(int(s) for s in self.left))
-        right = tuple(sorted(int(s) for s in self.right))
+        left = tuple(sorted(_site_indices(self.left)))
+        right = tuple(sorted(_site_indices(self.right)))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         n = self.dims.nsites
@@ -109,9 +110,8 @@ class Bipartition:
     @classmethod
     def split(cls, dims: SystemDims, left) -> "Bipartition":
         """Bipartition with the given left block; the right block is the rest."""
-        left = tuple(sorted(int(s) for s in left))
-        right = tuple(s for s in range(dims.nsites) if s not in left)
-        return cls(dims, left, right)
+        left = _site_indices(left)
+        return cls(dims, left, tuple(s for s in range(dims.nsites) if s not in left))
 
     @property
     def left_dim(self) -> int:
@@ -153,8 +153,15 @@ def _check_square(op: np.ndarray, dims: SystemDims, name: str = "operator"):
         raise ValueError(f"{name} has shape {op.shape}, expected (..., {d}, {d})")
 
 
+def _site_indices(sites) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(s) for s in sites)  # refuses str and float
+    except TypeError as exc:
+        raise ValueError(f"site indices must be integers, got {sites!r}") from exc
+
+
 def _check_sites(sites, dims: SystemDims):
-    sites = tuple(int(s) for s in sites)
+    sites = _site_indices(sites)
     if len(set(sites)) != len(sites):
         raise ValueError(f"repeated site index in {sites}")
     for s in sites:
@@ -285,38 +292,42 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
 
 
-def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(u) -> bool:
+    """True if ``u`` is a square matrix with ``u^+ u = 1`` within ``DEFAULT_TOL``."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     d = u.shape[0]
-    return bool(np.abs(u.conj().T @ u - np.eye(d)).max() <= tol)
+    return bool(np.abs(u.conj().T @ u - np.eye(d)).max() <= DEFAULT_TOL)
 
 
-def is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``op``, or every matrix of a ``(..., d, d)`` stack, is Hermitian."""
+def is_hermitian(op) -> bool:
+    """True if ``op``, or every matrix of a ``(..., d, d)`` stack, is Hermitian
+    within ``DEFAULT_TOL``; an empty stack is."""
     op = np.asarray(op)
     if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
         return False
-    return bool(np.abs(op - op.conj().swapaxes(-1, -2)).max() <= tol)
+    return bool(np.abs(op - op.conj().swapaxes(-1, -2)).max(initial=0.0) <= DEFAULT_TOL)
 
 
-def check_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a density matrix (Hermitian, positive, unit trace); return it.
+def check_density(rho) -> np.ndarray:
+    """Validate a density matrix (Hermitian, positive, unit trace) within
+    ``DEFAULT_TOL``; return it.
 
-    Every matrix of a ``(..., D, D)`` stack is checked; an error names the
-    first bad trace or the lowest eigenvalue of the stack.
+    Every matrix of a ``(..., D, D)`` stack is checked, and an empty stack
+    passes; an error names the first bad trace or the lowest eigenvalue of
+    the stack.
     """
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(rho, axis1=-2, axis2=-1)
-    bad = np.abs(traces.real - 1.0) > tol
+    bad = np.abs(traces.real - 1.0) > DEFAULT_TOL
     if bad.any():
         raise ValueError(f"density matrix has trace {traces[bad][0]:.6g}, not 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3g}")
+    lowest = np.linalg.eigvalsh(rho).min(initial=0.0)
+    if lowest < -DEFAULT_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3g}")
     return rho
 
 

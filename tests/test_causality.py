@@ -1,5 +1,6 @@
+import inspect
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -37,11 +38,15 @@ from qcausal.sampling import (
     random_sorkin_scenario,
 )
 from qcausal.tensor import (
+    DEFAULT_TOL,
     Bipartition,
     SystemDims,
     all_bipartitions,
+    check_density,
     embed_operator,
     hermitian_basis,
+    is_hermitian,
+    is_unitary,
     partial_trace,
     polar_unitary,
     realign,
@@ -137,12 +142,13 @@ class TestSupportAndLocality:
         # a product of unitaries on both sites acts on site 1 too
         assert not is_local_channel(from_unitary(tensor_product(X, Z), dims), (0,))
         assert is_local_channel(from_unitary(tensor_product(X, I2), dims), (0,))
-        # mixtures on either side of tol: the Gram sum is linear in the weight
+        # mixtures on either side of DEFAULT_TOL: the Gram sum is linear in
+        # the weight
         local = embed_local(inner, (0,), dims)
         gram = _off_gram(cnot_channel(), (0,))
         for factor, expected in [(0.5, True), (2.0, False)]:
-            c = mix(cnot_channel(), local, factor * 1e-10 / gram)
-            assert is_local_channel(c, (0,), tol=1e-10) is expected
+            c = mix(cnot_channel(), local, factor * DEFAULT_TOL / gram)
+            assert is_local_channel(c, (0,)) is expected
 
     @pytest.mark.parametrize(
         "dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (3, 3), (4, 4)], ids=_dims_id
@@ -152,7 +158,8 @@ class TestSupportAndLocality:
         # Haar-unitary channel.  The Kraus criterion and the former basis loop
         # measure the same first-order defect in two ways that stay within a
         # factor 2 of each other, so the verdicts agree unless the deviation
-        # lies within that factor of tol (at eps == tol they may differ).
+        # lies within that factor of DEFAULT_TOL (at eps == tol they may
+        # differ).
         dims = SystemDims(dims)
         g = RngStream(33).generator()
 
@@ -176,9 +183,52 @@ class TestSupportAndLocality:
                     dev, gram = _local_deviation_loop(c, sites), _off_gram(c, sites)
                     if dev > 1e-13:
                         assert 0.5 * dev <= gram <= 2.0 * dev
-                    for tol in (1e-10, 1e-8):
-                        if not 0.5 * tol <= dev <= 2.0 * tol:
-                            assert is_local_channel(c, sites, tol) == (dev <= tol)
+                    if not 0.5 * DEFAULT_TOL <= dev <= 2.0 * DEFAULT_TOL:
+                        assert is_local_channel(c, sites) == (dev <= DEFAULT_TOL)
+
+
+_EMPTY_STACKS = {
+    "is_hermitian": lambda: is_hermitian(np.zeros((0, 2, 2))),
+    "check_density": lambda: check_density(np.zeros((0, 2, 2))).shape == (0, 2, 2),
+    "is_supported_on": lambda: is_supported_on(
+        np.zeros((0, 4, 4)), (0,), SystemDims((2, 2))
+    ),
+    "is_local_channel": lambda: is_local_channel(
+        KrausChannel(np.zeros((0, 1, 4, 4)), SystemDims((2, 2))), (0,)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY_STACKS))
+def test_empty_stack_passes_vacuously(name):
+    assert _EMPTY_STACKS[name]() is True
+
+
+_TWO_QUBITS = SystemDims((2, 2))
+
+_FLOAT_SITES = {
+    "Bipartition.split": lambda: Bipartition.split(_TWO_QUBITS, [0.9]),
+    "Bipartition": lambda: Bipartition(_TWO_QUBITS, (1.5,), (0,)),
+    "embed_operator": lambda: embed_operator(np.eye(2), [1.7], _TWO_QUBITS),
+    "partial_trace": lambda: partial_trace(np.eye(4), _TWO_QUBITS, [0.2]),
+    "is_supported_on": lambda: is_supported_on(np.eye(4), [0.0], _TWO_QUBITS),
+    "is_local_channel": lambda: is_local_channel(identity_channel(_TWO_QUBITS), [1.0]),
+    "embed_local": lambda: embed_local(
+        identity_channel(SystemDims((2,))), [1.0], _TWO_QUBITS
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_SITES))
+def test_float_site_indices_are_refused(name):
+    with pytest.raises(ValueError, match="site indices must be integers"):
+        _FLOAT_SITES[name]()
+
+
+def test_integer_like_site_indices_are_kept():
+    part = Bipartition.split(_TWO_QUBITS, np.array([1]))
+    assert part.left == (1,) and type(part.left[0]) is int
+    assert is_supported_on(np.kron(I2, Z), [np.int64(1)], _TWO_QUBITS)
 
 
 class TestScenarioValidation:
@@ -222,41 +272,45 @@ class TestScenarioValidation:
             SorkinScenario(rho, prep, on_one_site, obs, QUBIT_PAIR)
 
 
-class TestStackedScenarioValidation:
-    """Stacks of four scenarios in which only member 2 is bad."""
+def _factor_stack(parts, kraus, obs):
+    """A stack over ``parts`` with member ``j``'s sender Kraus family
+    ``kraus[j]`` and receiver observable ``obs[j]``, grouped into one factor
+    stack per run of equal directions: (prep, observable) tuples."""
+    preps, observables, start = [], [], 0
+    for part, members in groupby(parts):
+        stop = start + len(list(members))
+        preps.append(KrausChannel(kraus[start:stop], part.dims.sub(part.left)))
+        observables.append(obs[start:stop])
+        start = stop
+    return tuple(preps), tuple(observables)
 
-    def _stacks(self):
-        rho = np.outer(_ket(0, 0), _ket(0, 0))
-        local = embed_local(from_unitary(X, SystemDims((2,))), (0,), SystemDims((2, 2)))
-        kraus = np.array([local.kraus] * 4)
-        return np.array([rho] * 4), kraus, np.array([np.kron(I2, Z)] * 4)
+
+def _four_scenarios():
+    """(states, sender Kraus families, receiver observables) of four copies of
+    the CNOT scenario: |00>, a flip on the sender, Z on the receiver."""
+    rho = np.outer(_ket(0, 0), _ket(0, 0))
+    return np.array([rho] * 4), np.array([[X]] * 4), np.array([Z] * 4)
+
+
+class TestStackedScenarioValidation:
+    """Stacks of four scenarios in one direction in which only member 2 is bad."""
+
+    PARTS = [QUBIT_PAIR] * 4
+
+    _stacks = staticmethod(_four_scenarios)
 
     def _scenario(self, rho, kraus, obs):
-        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
-        return SorkinScenario(rho, prep, cnot_channel(), obs, QUBIT_PAIR)
+        prep = KrausChannel(kraus, SystemDims((2,)))
+        return SorkinScenario(rho, (prep,), cnot_channel(), (obs,), self.PARTS)
 
     def test_good_stack_gives_each_violation(self):
         got = sorkin_violation(self._scenario(*self._stacks()))
         assert got.shape == (4,)
         np.testing.assert_allclose(got, -2.0, atol=1e-14)
 
-    def test_rejects_nonlocal_prep(self):
-        rho, kraus, obs = self._stacks()
-        kraus[2] = cnot_channel().kraus
-        msg = "preparation is not local to the sender sites"
-        with pytest.raises(ValueError, match=msg):
-            self._scenario(rho, kraus, obs)
-
-    def test_rejects_observable_on_sender(self):
-        rho, kraus, obs = self._stacks()
-        obs[2] = np.kron(Z, I2)
-        msg = "observable is not supported on the receiver sites"
-        with pytest.raises(ValueError, match=msg):
-            self._scenario(rho, kraus, obs)
-
     def test_rejects_non_hermitian_observable(self):
         rho, kraus, obs = self._stacks()
-        obs[2] = np.kron(I2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        obs[2] = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="observable is not Hermitian"):
             self._scenario(rho, kraus, obs)
 
@@ -275,10 +329,31 @@ class TestStackedScenarioValidation:
 
     def test_rejects_a_stacked_intervention(self):
         rho, kraus, obs = self._stacks()
-        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
+        prep = KrausChannel(kraus, SystemDims((2,)))
         stacked = KrausChannel([cnot_channel().kraus] * 4, QUBIT_PAIR.dims)
         with pytest.raises(ValueError, match="single channel"):
-            SorkinScenario(rho, prep, stacked, obs, QUBIT_PAIR)
+            SorkinScenario(rho, (prep,), stacked, (obs,), self.PARTS)
+
+    def test_rejects_a_shared_bipartition_over_a_stack(self):
+        rho, kraus, obs = self._stacks()
+        prep = KrausChannel(kraus, SystemDims((2,)))
+        with pytest.raises(ValueError, match="one partition per member: one Bipartition"):
+            SorkinScenario(rho, prep, cnot_channel(), obs, QUBIT_PAIR)
+
+    def test_rejects_whole_system_factors_in_a_stack(self):
+        rho, kraus, obs = self._stacks()
+        prep = KrausChannel(kraus, SystemDims((2,)))
+        whole_prep = embed_local(prep, QUBIT_PAIR.left, QUBIT_PAIR.dims)
+        whole_obs = embed_operator(obs, QUBIT_PAIR.right, QUBIT_PAIR.dims)
+        c = cnot_channel()
+        with pytest.raises(ValueError, match="one factor per run"):
+            SorkinScenario(rho, whole_prep, c, (obs,), self.PARTS)
+        with pytest.raises(ValueError, match="one factor per run"):
+            SorkinScenario(rho, (prep,), c, whole_obs, self.PARTS)
+        with pytest.raises(ValueError, match="channel dims do not match"):
+            SorkinScenario(rho, (whole_prep,), c, (obs,), self.PARTS)
+        with pytest.raises(ValueError, match="observable dimension does not match"):
+            SorkinScenario(rho, (prep,), c, (whole_obs,), self.PARTS)
 
 
 class TestMixedDirectionStacks:
@@ -287,16 +362,11 @@ class TestMixedDirectionStacks:
 
     PARTS = [QUBIT_PAIR] * 2 + [QUBIT_PAIR.swapped()] * 2
 
-    def _stacks(self):
-        rho = np.outer(_ket(0, 0), _ket(0, 0))
-        x0, x1 = np.kron(X, I2), np.kron(I2, X)
-        kraus = np.array([[x0], [x0], [x1], [x1]])
-        obs = np.array([np.kron(I2, Z)] * 2 + [np.kron(Z, I2)] * 2)
-        return np.array([rho] * 4), kraus, obs
+    _stacks = staticmethod(_four_scenarios)
 
     def _scenario(self, rho, kraus, obs, parts=PARTS):
-        prep = KrausChannel(kraus, QUBIT_PAIR.dims)
-        return SorkinScenario(rho, prep, cnot_channel(), obs, parts)
+        prep, observable = _factor_stack(self.PARTS, kraus, obs)
+        return SorkinScenario(rho, prep, cnot_channel(), observable, parts)
 
     def test_good_stack_gives_each_violation(self):
         rho, kraus, obs = self._stacks()
@@ -306,7 +376,7 @@ class TestMixedDirectionStacks:
         want = [
             sorkin_violation(
                 SorkinScenario(
-                    rho[j], KrausChannel(kraus[j], QUBIT_PAIR.dims), cnot_channel(),
+                    rho[j], KrausChannel(kraus[j], SystemDims((2,))), cnot_channel(),
                     obs[j], self.PARTS[j],
                 )
             )
@@ -315,27 +385,22 @@ class TestMixedDirectionStacks:
         assert np.array_equal(got, want)
         np.testing.assert_allclose(got, [-2.0, -2.0, 0.0, 0.0], atol=1e-14)
 
-    # members 0 to 2 send from site 0 and member 3 from site 1: checked
-    # against the first member's direction, only member 3 would fail, and
-    # with the other message
-    ONE_REVERSED = [QUBIT_PAIR] * 3 + [QUBIT_PAIR.swapped()]
-
-    def _one_reversed(self):
-        rho, kraus, obs = self._stacks()
-        kraus[2], obs[2] = kraus[0], obs[0]
-        return rho, kraus, obs
-
-    def test_rejects_prep_local_to_the_other_block(self):
-        rho, kraus, obs = self._one_reversed()
-        kraus[3] = kraus[0]  # local to site 0, on which member 3 receives
-        with pytest.raises(ValueError, match="preparation is not local to the sender"):
-            self._scenario(rho, kraus, obs, self.ONE_REVERSED)
-
-    def test_rejects_observable_on_the_sender(self):
-        rho, kraus, obs = self._one_reversed()
-        obs[3] = obs[0]  # on site 1, from which member 3 sends
-        with pytest.raises(ValueError, match="not supported on the receiver sites"):
-            self._scenario(rho, kraus, obs, self.ONE_REVERSED)
+    def test_rejects_factors_of_the_other_block(self):
+        # on (2, 3) the blocks differ in dimension, so each run's factors
+        # drawn for the other direction have the wrong shape
+        part = Bipartition.split(SystemDims((2, 3)), (0,))
+        parts = [part, part.swapped()]
+        rho = np.array([np.eye(6) / 6] * 2)
+        kraus = [KrausChannel([[np.eye(d)]], SystemDims((d,))) for d in (2, 3)]
+        obs = (np.zeros((1, 3, 3)), np.zeros((1, 2, 2)))
+        c = identity_channel(part.dims)
+        assert np.array_equal(
+            sorkin_violation(SorkinScenario(rho, tuple(kraus), c, obs, parts)), [0, 0]
+        )
+        with pytest.raises(ValueError, match="channel dims do not match"):
+            SorkinScenario(rho, tuple(kraus[::-1]), c, obs, parts)
+        with pytest.raises(ValueError, match="observable dimension does not match"):
+            SorkinScenario(rho, tuple(kraus), c, obs[::-1], parts)
 
     def test_rejects_a_partition_count_unlike_the_stack(self):
         rho, kraus, obs = self._stacks()
@@ -372,18 +437,18 @@ def _scenario_probe(kind):
     return probe
 
 
-def _random_stack_probe(eps):
-    """Member 2 of a drawn stack, embedded, gets its Kraus operators times the
-    unitary sqrt(1 - eps) - i sqrt(eps) (1 (x) Z (x) 1), whose off-sender
-    Gram is eps."""
+def _random_scenario_prep_probe(eps):
+    """A drawn scenario's preparation, embedded, gets its Kraus operators
+    times the unitary sqrt(1 - eps) - i sqrt(eps) (1 (x) Z (x) 1), whose
+    off-sender Gram is eps."""
     part = Bipartition.split(SystemDims((2, 2, 2)), (0,))
     g = RngStream(41).generator()
-    s = random_sorkin_scenario([part] * 4, random_kraus_channel(part.dims, 2, g), g)
+    s = random_sorkin_scenario(part, random_kraus_channel(part.dims, 2, g), g)
     flip = embed_operator(Z, (1,), part.dims)
-    kraus = embed_operator(s.prep[0].kraus, part.left, part.dims)
-    kraus[2] = kraus[2] @ (np.sqrt(1.0 - eps) * np.eye(8) - 1j * np.sqrt(eps) * flip)
+    kraus = embed_operator(s.prep.kraus, part.left, part.dims)
+    kraus = kraus @ (np.sqrt(1.0 - eps) * np.eye(8) - 1j * np.sqrt(eps) * flip)
     prep = KrausChannel(kraus, part.dims)
-    obs = embed_operator(s.observable[0], part.right, part.dims)
+    obs = embed_operator(s.observable, part.right, part.dims)
     SorkinScenario(s.rho, prep, s.intervention, obs, part)
 
 
@@ -396,7 +461,7 @@ def _sender_unitality_probe(eps):
     kraus = s.prep[0].kraus.copy()
     kraus[2] = np.sqrt(1.0 + eps) * kraus[2]
     prep = KrausChannel(kraus, SystemDims((2, 2)))
-    SorkinScenario(s.rho, prep, s.intervention, s.observable[0], part)
+    SorkinScenario(s.rho, (prep,), s.intervention, s.observable, [part] * 4)
 
 
 _TOL_PROBES = {
@@ -404,9 +469,16 @@ _TOL_PROBES = {
     "scenario-state": (_scenario_probe("state"), "negative eigenvalue"),
     "scenario-observable": (_scenario_probe("observable"), "receiver sites"),
     "scenario-prep": (_scenario_probe("prep"), "not local"),
-    "random-stack-prep": (_random_stack_probe, "not local"),
+    "random-scenario-prep": (_random_scenario_prep_probe, "not local"),
     "random-stack-sender-unitality": (_sender_unitality_probe, "not unital"),
 }
+
+
+@pytest.mark.parametrize(
+    "predicate", [is_unitary, is_hermitian, check_density, is_supported_on, is_local_channel]
+)
+def test_structural_predicates_take_no_tol(predicate):
+    assert "tol" not in inspect.signature(predicate).parameters
 
 
 @pytest.mark.parametrize("name", list(_TOL_PROBES))

@@ -391,12 +391,13 @@ class TestFactoredScenarios:
         s = random_sorkin_scenario(parts, c, RngStream(69).generator())
         assert sorkin_violation(s).shape == (len(parts),)
         assert calls == []
-        # the spies do count: the D x D boundary calls them
+        # the spies do count: one scenario given on the whole system calls them
+        sender = KrausChannel(s.prep[0].kraus[0], dims.sub(parts[0].left))
         SorkinScenario(
-            s.rho[:3],
-            embed_local(s.prep[0], parts[0].left, dims),
+            s.rho[0],
+            embed_local(sender, parts[0].left, dims),
             c,
-            embed_operator(s.observable[0], parts[0].right, dims),
+            embed_operator(s.observable[0][0], parts[0].right, dims),
             parts[0],
         )
         assert "is_local_channel" in calls and "_off_block" in calls
@@ -405,9 +406,10 @@ class TestFactoredScenarios:
         dims = SystemDims((2, 2))
         part = Bipartition.split(dims, (0,))
         c = identity_channel(dims)
-        empty = KrausChannel(np.zeros((0, 1, 4, 4)), dims)
+        empty = KrausChannel(np.zeros((0, 1, 2, 2)), SystemDims((2,)))
+        obs = np.zeros((0, 2, 2))
         with pytest.raises(ValueError, match="need at least one scenario"):
-            SorkinScenario(np.zeros((0, 4, 4)), empty, c, np.zeros((0, 4, 4)), part)
+            SorkinScenario(np.zeros((0, 4, 4)), (empty,), c, (obs,), [part])
 
 
 class TestMeasureZeroExperiment:
