@@ -23,6 +23,7 @@ from .causality import (
     operator_schmidt_values,
     perturbation_probe,
     semicausal_defect,
+    semicausal_defects,
     sorkin_violation,
 )
 from .channels import (

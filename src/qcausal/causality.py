@@ -35,7 +35,8 @@ from .tensor import (
     DEFAULT_TOL,
     Bipartition,
     SystemDims,
-    _site_indices,
+    _check_sites,
+    _check_square,
     all_bipartitions,
     check_density,
     embed_operator,
@@ -50,19 +51,36 @@ from .tensor import (
 )
 
 
-def _off_block(ops, sites, dims: SystemDims) -> np.ndarray:
-    """``op - embed(tr_rest(op) / d_rest, sites)`` for each op of a (..., D, D)
-    stack: the part off the algebra on ``sites``, zero exactly on that algebra."""
-    sites = tuple(sorted(_site_indices(sites)))
-    rest = tuple(s for s in range(dims.nsites) if s not in sites)
-    reduced = partial_trace(ops, dims, rest) / dims.block_dim(rest)
-    return ops - embed_operator(reduced, sites, dims)
+def _off_block(x, d_rest: int) -> np.ndarray:
+    """Subtract ``1 (x) tr_rest(op) / d_rest`` from each op of a contiguous
+    ``(..., D, D)`` stack whose legs are in (rest, sites) order, in place, and
+    return it: the part off the algebra on the sites, zero exactly on it."""
+    *lead, d, _ = x.shape
+    d_sites = d // d_rest
+    blocks = x.reshape(*lead, d_rest, d_sites, d_rest, d_sites, copy=False)
+    diagonal = np.einsum("...iaib->...iab", blocks)  # a writable view
+    diagonal -= diagonal.sum(-3, keepdims=True) / d_rest
+    return x
+
+
+def _rest_first(ops: np.ndarray, sites, dims: SystemDims):
+    """A copy of a ``(..., D, D)`` stack with each op's legs in (rest, sites)
+    order, and the dimension of the rest."""
+    _check_square(ops, dims)
+    sites = sorted(_check_sites(sites, dims))
+    rest = [s for s in range(dims.nsites) if s not in sites]
+    lead = ops.shape[:-2]
+    k, n = len(lead), dims.nsites
+    legs = [k + s for s in rest + sites]
+    shaped = ops.reshape(*lead, *dims.dims * 2)
+    x = shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).copy()
+    return x.reshape(ops.shape), dims.block_dim(rest)
 
 
 def is_supported_on(op, sites, dims: SystemDims) -> bool:
     """True if ``op``, or every op of a ``(..., D, D)`` stack, equals (operator
     on sites) (x) identity elsewhere within ``DEFAULT_TOL``; an empty stack is."""
-    off = _off_block(np.asarray(op, dtype=complex), sites, dims)
+    off = _off_block(*_rest_first(np.asarray(op, dtype=complex), sites, dims))
     return bool(np.abs(off).max(initial=0.0) <= DEFAULT_TOL)
 
 
@@ -77,7 +95,7 @@ def is_local_channel(c: KrausChannel, sites) -> bool:
     Kraus family of ``c`` and, like ``c(B) - B``, linear in a mixing weight.
     A stack of channels is local when every member is; an empty stack is.
     """
-    gram = gram_sum(_off_block(c.kraus, sites, c.dims))
+    gram = gram_sum(_off_block(*_rest_first(c.kraus, sites, c.dims)))
     return bool(np.abs(gram).max(initial=0.0) <= DEFAULT_TOL)
 
 
@@ -93,6 +111,15 @@ def _direction_runs(partition) -> list:
         runs.append((part, slice(start, start + n)))
         start += n
     return runs
+
+
+def _by_shape(parts) -> list[list[int]]:
+    """Indices of ``parts`` grouped by ``(d_S, d_R)``, in order of first
+    appearance."""
+    shapes = {}
+    for i, p in enumerate(parts):
+        shapes.setdefault((p.left_dim, p.right_dim), []).append(i)
+    return list(shapes.values())
 
 
 @dataclass
@@ -263,14 +290,23 @@ def sorkin_violation(s: SorkinScenario):
 class SignallingReport:
     """Strength and witness of signalling across one direction of a bipartition.
 
-    ``gram`` is the Gram of the defect map over the receiver matrix units,
-    from which :func:`semicausal_defect` reads the strength; the witness is
-    computed from it when first read.
+    The Gram of the defect map, from which :func:`semicausal_defects` reads
+    the strength, and the witness are computed from ``channel`` when first
+    read, so a list of reports holds no Gram (at D = 64 one takes up to
+    16 MiB).
     """
 
     direction: tuple[tuple[int, ...], tuple[int, ...]]  # (sender, receiver) sites
     strength: float
-    gram: np.ndarray = field(repr=False, compare=False)
+    channel: KrausChannel = field(repr=False, compare=False)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The ``(d_R^2, d_R^2)`` Gram of the defect map over the receiver
+        matrix units: the bits the strength was read from, by a pass of this
+        direction alone."""
+        part = Bipartition(self.channel.dims, *self.direction)
+        return _defect_grams(self.channel, [part])[0]
 
     @cached_property
     def witness(self) -> np.ndarray:
@@ -289,42 +325,84 @@ class SignallingReport:
 
 
 def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
-    """How far the channel is from signalling-free in one direction.
+    """The defect in one direction; see :func:`semicausal_defects`."""
+    return semicausal_defects(c, [part])[0]
 
-    The sender is ``part.left``; pass ``part.swapped()`` for the reverse
-    direction.  For receiver observables ``O_R`` the map
+
+#: Image entries held at once by :func:`semicausal_defects`: a stacked pass
+#: takes ``max(1, _DEFECT_ENTRIES // (d_R D)**2)`` directions of one shape,
+#: so its images take 16 MiB, or one direction's where that is more.
+_DEFECT_ENTRIES = 2**20
+
+
+def semicausal_defects(c: KrausChannel, parts) -> list[SignallingReport]:
+    """How far the channel is from signalling-free in each direction of ``parts``.
+
+    The sender of each direction is ``part.left``; pass ``part.swapped()``
+    for the reverse direction.  For receiver observables ``O_R`` the map
 
         O_R  |->  Phi(1 (x) O_R) - 1 (x) tr_S[Phi(1 (x) O_R)] / d_S
 
     measures the failure of ``Phi(1 (x) O_R)`` to stay inside the receiver
     algebra.  The strength is its largest singular value from Frobenius norm
     to Frobenius norm over the receiver matrix units ``E_rr'``: with each
-    Kraus operator's row legs in (sender, receiver) order the family is a
+    Kraus operator's legs in (sender, receiver) order the family is a
     ``(k d_S, d_R D)`` matrix ``A``, and ``Phi(1 (x) E_rr')`` is the slice
-    ``[r, :, r', :]`` of ``A^+ A``.  The strength is the square root of the
-    top eigenvalue of the map's ``(d_R^2, d_R^2)`` Gram, from
-    ``np.linalg.eigvalsh``; no eigenvector is computed here.  The map
-    commutes with the adjoint, so the gains of the Hermitian parts of
-    ``X = H1 + i H2`` add, and the larger part of a top eigenvector is the
-    witness: a maximizing unit-norm Hermitian receiver observable, computed
-    with ``np.linalg.eigh`` of the stored Gram only when
+    ``[r, :, r', :]`` of ``A^+ A``, with its legs in (sender, receiver) order
+    too.  The strength is the square root of the top eigenvalue of the map's
+    ``(d_R^2, d_R^2)`` Gram, from ``np.linalg.eigvalsh``; no eigenvector is
+    computed here.  The map commutes with the adjoint, so the gains of the
+    Hermitian parts of ``X = H1 + i H2`` add, and the larger part of a top
+    eigenvector is the witness: a maximizing unit-norm Hermitian receiver
+    observable, computed with ``np.linalg.eigh`` of the Gram only when
     :attr:`SignallingReport.witness` is read.  A strength within a caller's
     tolerance of zero certifies no signalling sender -> receiver.
+
+    Directions of equal ``(d_S, d_R)`` share stacked passes of at most
+    :data:`_DEFECT_ENTRIES` image entries.  The off-block part is taken in
+    place, on the image legs in (sender, receiver) order.  A pass runs the
+    same BLAS and LAPACK calls per direction as a pass of one, so every
+    report equals that of its direction alone.  The reports are in the order
+    of ``parts``.
     """
-    if c.dims != part.dims:
+    parts = list(parts)
+    if any(p.dims != c.dims for p in parts):
         raise ValueError("channel dims do not match the partition")
-    ks = c.single()
-    s_sites, r_sites = part.left, part.right
-    dims = part.dims
-    n, d, d_r = dims.nsites, dims.total, dims.block_dim(r_sites)
-    legs = [1 + s for s in s_sites + r_sites]
-    a = ks.reshape(-1, *dims.dims, d).transpose(0, *legs, n + 1).reshape(-1, d_r * d)
-    images = (a.conj().T @ a).reshape(d_r, d, d_r, d).transpose(0, 2, 1, 3)
-    m = _off_block(images, r_sites, dims).reshape(d_r * d_r, d * d)
-    gram = m.conj() @ m.T
-    top = np.linalg.eigvalsh(gram)[-1]
-    strength = float(np.sqrt(abs(top)))  # a zero Gram may give -0.0
-    return SignallingReport(direction=(s_sites, r_sites), strength=strength, gram=gram)
+    c.single()  # one channel
+    strengths = [0.0] * len(parts)
+    for members in _by_shape(parts):
+        d_r = parts[members[0]].right_dim
+        step = max(1, _DEFECT_ENTRIES // (d_r * c.dims.total) ** 2)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            grams = _defect_grams(c, [parts[i] for i in chunk])
+            for i, top in zip(chunk, np.linalg.eigvalsh(grams)[:, -1]):
+                strengths[i] = float(np.sqrt(abs(top)))  # a zero Gram may give -0.0
+            del grams  # before the next pass: up to 16 MiB a direction at D = 64
+    return [SignallingReport((p.left, p.right), s, c) for p, s in zip(parts, strengths)]
+
+
+def _defect_grams(c: KrausChannel, parts) -> np.ndarray:
+    """The ``(m, d_R^2, d_R^2)`` Grams of the defect maps of ``m`` directions
+    of one ``(d_S, d_R)`` shape, from one stacked pass; see
+    :func:`semicausal_defects`."""
+    dims = c.dims
+    n, d = dims.nsites, dims.total
+    m, d_s, d_r = len(parts), parts[0].left_dim, parts[0].right_dim
+    shaped = c.kraus.reshape(-1, *dims.dims * 2)
+    # each family with rows (Kraus, sender, receiver) and columns (sender,
+    # receiver)
+    a = np.empty((m, len(shaped), d, d), dtype=complex)
+    for j, p in enumerate(parts):
+        legs = [1 + s for s in p.left + p.right]
+        a[j] = shaped.transpose(0, *legs, *(n + leg for leg in legs)).reshape(-1, d, d)
+    a = a.reshape(m, -1, d_r * d)
+    images = (a.conj().swapaxes(-1, -2) @ a).reshape(m, d_r, d, d_r, d)
+    # Phi(1 (x) E_rr') at [:, r, r'], then its off-block part
+    x = _off_block(images.swapaxes(2, 3).copy(), d_s)
+    del images  # at D = 64 each of the two takes up to 64 MiB a direction
+    x = x.reshape(m, d_r * d_r, d * d)
+    return x.conj() @ x.swapaxes(-1, -2)
 
 
 def operator_schmidt_values(u, part: Bipartition) -> np.ndarray:

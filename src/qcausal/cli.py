@@ -42,7 +42,7 @@ from .causality import (
     nearest_product_unitaries,
     operator_schmidt_values,
     perturbation_probe,
-    semicausal_defect,
+    semicausal_defects,
     sorkin_violation,
 )
 from .channels import KrausChannel, from_unitary, zoo
@@ -435,24 +435,23 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
     rng = RngStream(cfg.seed).generator()
     channel = _channel_from(p, dims, rng)
 
+    parts = all_bipartitions(dims)
+    directions = [oriented for part in parts for oriented in (part, part.swapped())]
+    strengths = [rep.strength for rep in semicausal_defects(channel, directions)]
     defects = []
     one_way = []
     schmidt = {}
-    directions = []  # every oriented bipartition, in draw order
-    for part in all_bipartitions(dims):
-        per_dir = {}
-        for sender, oriented in (("left", part), ("right", part.swapped())):
-            rep = semicausal_defect(channel, oriented)
-            per_dir[sender] = rep.strength
+    for k, part in enumerate(parts):
+        per_dir = dict(zip(("left", "right"), strengths[2 * k : 2 * k + 2]))
+        for sender, strength in per_dir.items():
             defects.append(
                 {
                     "left": list(part.left),
                     "right": list(part.right),
                     "sender": sender,
-                    "strength": rep.strength,
+                    "strength": strength,
                 }
             )
-            directions.append(oriented)
         flags = [per_dir["left"] > tol, per_dir["right"] > tol]
         if flags[0] != flags[1]:
             one_way.append({"left": list(part.left), "right": list(part.right)})

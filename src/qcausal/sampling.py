@@ -19,6 +19,7 @@ import numpy as np
 
 from .causality import (
     SorkinScenario,
+    _by_shape,
     _direction_runs,
     nearest_product_unitaries,
     operator_schmidt_values,
@@ -136,7 +137,9 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     n`` for ``n`` members in one direction): the two forms of
     :class:`SorkinScenario`, built from factors.  A stack
     takes one ``standard_normal`` draw per run of equal directions, in
-    member order, so member ``j`` equals the ``j``-th of the single draws.
+    member order, so member ``j`` equals the ``j``-th of the single draws;
+    the preparations and observables of all runs of one ``(d_S, d_R)``
+    shape are normalised as one stack, member by member.
     """
     rng = _as_generator(rng)
     one = isinstance(part, Bipartition)
@@ -149,16 +152,27 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     runs = [(p, members.stop - members.start) for p, members in _direction_runs(parts)]
     if any(p.dims != dims for p, _ in runs):
         raise ValueError("the members' partitions have different dims")
-    kraus, raw_rho, obs = [], [], []
+    raw = []  # each run's preparation, state and observable Gaussians
     for p, n in runs:
         d_s, d_r = p.left_dim, p.right_dim
-        s = (nkraus_prep * 2 * d_s**2, 2 * d * d, 2 * d_r**2)
-        run = rng.standard_normal((n, sum(s)))
-        raw_prep, raw_r, raw_obs = np.split(run, np.cumsum(s[:2]), axis=-1)
-        kraus.append(_unital(_ginibre(raw_prep.reshape(n, nkraus_prep, 2, d_s, d_s))))
-        raw_rho.append(raw_r.reshape(n, 2, d, d))
-        obs.append(_hermitian_part(_complex(raw_obs.reshape(n, 2, d_r, d_r))))
-    rho = _density(_ginibre(np.concatenate(raw_rho)))
+        cut = nkraus_prep * 2 * d_s**2
+        run = rng.standard_normal((n, cut + 2 * d * d + 2 * d_r**2))
+        raw.append((
+            run[:, :cut].reshape(n, nkraus_prep, 2, d_s, d_s),
+            run[:, cut : cut + 2 * d * d].reshape(n, 2, d, d),
+            run[:, cut + 2 * d * d :].reshape(n, 2, d_r, d_r),
+        ))
+    rho = _density(_ginibre(np.concatenate([r for _, r, _ in raw])))
+    kraus, obs = [None] * len(runs), [None] * len(runs)
+    for indices in _by_shape([p for p, _ in runs]):
+        # the runs of one (d_S, d_R) shape are normalised as one stack
+        ks = _unital(_ginibre(np.concatenate([raw[i][0] for i in indices])))
+        hs = _hermitian_part(_complex(np.concatenate([raw[i][2] for i in indices])))
+        start = 0
+        for i in indices:
+            stop = start + runs[i][1]
+            kraus[i], obs[i] = ks[start:stop], hs[start:stop]
+            start = stop
     if one:
         return SorkinScenario(
             rho[0], KrausChannel(kraus[0][0], dims.sub(part.left)), intervention,

@@ -293,12 +293,13 @@ def trace_norm(m) -> float:
 
 
 def is_unitary(u) -> bool:
-    """True if ``u`` is a square matrix with ``u^+ u = 1`` within ``DEFAULT_TOL``."""
+    """True if ``u`` is a square matrix with ``u^+ u = 1`` within ``DEFAULT_TOL``;
+    a ``(0, 0)`` matrix is."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     d = u.shape[0]
-    return bool(np.abs(u.conj().T @ u - np.eye(d)).max() <= DEFAULT_TOL)
+    return bool(np.abs(u.conj().T @ u - np.eye(d)).max(initial=0.0) <= DEFAULT_TOL)
 
 
 def is_hermitian(op) -> bool:

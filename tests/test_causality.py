@@ -5,6 +5,7 @@ from itertools import combinations, groupby
 import numpy as np
 import pytest
 
+from qcausal import causality, channels, sampling, tensor
 from qcausal.causality import (
     PerturbationRow,
     ProductApproximation,
@@ -17,6 +18,7 @@ from qcausal.causality import (
     operator_schmidt_values,
     perturbation_probe,
     semicausal_defect,
+    semicausal_defects,
     sorkin_violation,
 )
 from qcausal.channels import (
@@ -29,6 +31,7 @@ from qcausal.channels import (
     identity_channel,
     mix,
     swap_channel,
+    zoo,
 )
 from qcausal.sampling import (
     RngStream,
@@ -188,6 +191,7 @@ class TestSupportAndLocality:
 
 
 _EMPTY_STACKS = {
+    "is_unitary": lambda: is_unitary(np.zeros((0, 0))),
     "is_hermitian": lambda: is_hermitian(np.zeros((0, 2, 2))),
     "check_density": lambda: check_density(np.zeros((0, 2, 2))).shape == (0, 2, 2),
     "is_supported_on": lambda: is_supported_on(
@@ -711,6 +715,137 @@ class TestSemicausalDefect:
             semicausal_defect(
                 identity_channel(SystemDims((2, 3))), QUBIT_PAIR
             )
+
+
+_STACK_DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (2, 3, 2)]
+
+
+def _directions(dims):
+    return [p for q in all_bipartitions(dims) for p in (q, q.swapped())]
+
+
+def _defect_channels(dims):
+    """A Haar unitary, a 3-Kraus random unital channel and every zoo entry
+    that fits ``dims``."""
+    g = RngStream(37).generator()
+    out = {
+        "haar": from_unitary(haar_unitary(dims.total, g), dims),
+        "kraus": random_kraus_channel(dims, 3, g),
+        "depolarizing": zoo("depolarizing", dims, lam=0.37),
+        "local-random": zoo("local-random", dims, rng=g),
+    }
+    if dims.dims == (2, 2):
+        out["cnot"] = zoo("cnot")
+        out["classical-one-way"] = zoo("classical-one-way")
+    if dims.nsites == 2 and dims.dims[0] == dims.dims[1]:
+        out["swap"] = zoo("swap", d=dims.dims[0])
+    return out
+
+
+def _by_shape(directions):
+    shapes = {}
+    for p in directions:
+        shapes.setdefault((p.left_dim, p.right_dim), []).append(p)
+    return list(shapes.values())
+
+
+def _strengths(reports):
+    return [(r.direction, r.strength) for r in reports]
+
+
+@pytest.mark.parametrize("dims", _STACK_DIMS, ids=_dims_id)
+class TestStackedDefects:
+    def test_stack_is_each_direction_alone(self, dims):
+        dims = SystemDims(dims)
+        directions = _directions(dims)
+        for c in _defect_channels(dims).values():
+            alone = [semicausal_defect(c, p) for p in directions]
+            assert _strengths(semicausal_defects(c, directions)) == _strengths(alone)
+            # the Grams of one stacked pass per shape, bit for bit
+            for parts in _by_shape(directions):
+                grams = causality._defect_grams(c, parts)
+                for gram, p in zip(grams, parts, strict=True):
+                    assert gram.tobytes() == semicausal_defect(c, p).gram.tobytes()
+
+    def test_one_direction_per_pass_gives_the_same_bits(self, dims, monkeypatch):
+        dims = SystemDims(dims)
+        directions = _directions(dims)
+        cs = _defect_channels(dims).values()
+        stacked = [_strengths(semicausal_defects(c, directions)) for c in cs]
+        monkeypatch.setattr(causality, "_DEFECT_ENTRIES", 1)
+        assert [_strengths(semicausal_defects(c, directions)) for c in cs] == stacked
+
+    def test_strengths_match_basis_loop(self, dims):
+        dims = SystemDims(dims)
+        directions = _directions(dims)
+        for c in _defect_channels(dims).values():
+            for rep, p in zip(semicausal_defects(c, directions), directions):
+                want = _defect_loop(c, p)[0]
+                if max(rep.strength, want) < 1e-12:
+                    assert abs(rep.strength - want) <= 1e-14
+                else:
+                    np.testing.assert_allclose(rep.strength, want, rtol=1e-12)
+
+
+class TestDefectPasses:
+    def test_reports_keep_the_order_of_parts(self):
+        dims = SystemDims((2, 3, 2))
+        c = random_kraus_channel(dims, 2, RngStream(38))
+        directions = _directions(dims)[::-1]
+        reps = semicausal_defects(c, directions)
+        assert [r.direction for r in reps] == [(p.left, p.right) for p in directions]
+        assert semicausal_defects(c, []) == []
+        # no report holds its Gram until it is read
+        assert all("gram" not in vars(r) for r in reps)
+        d_r = directions[0].right_dim
+        assert reps[0].gram.shape == (d_r**2, d_r**2) and "gram" in vars(reps[0])
+
+    def test_a_pass_holds_at_most_its_entries(self, monkeypatch):
+        # (2, 2, 2): three directions of each shape, (d_R D)**2 = 256 image
+        # entries for d_R = 2 and 1024 for d_R = 4
+        dims = SystemDims((2, 2, 2))
+        c = random_kraus_channel(dims, 3, RngStream(39))
+        sizes = []
+        off_block = causality._off_block
+
+        def spy(x, d_rest):
+            sizes.append(x.size)
+            return off_block(x, d_rest)
+
+        monkeypatch.setattr(causality, "_off_block", spy)
+        monkeypatch.setattr(causality, "_DEFECT_ENTRIES", 512)
+        semicausal_defects(c, _directions(dims))
+        assert sorted(sizes) == [256, 512, 1024, 1024, 1024]
+
+    def test_embeds_traces_and_applies_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for module in (tensor, causality, channels, sampling):
+            for name in ("embed_operator", "partial_trace"):
+                if hasattr(module, name):
+                    spy(module, name)
+        spy(KrausChannel, "apply")
+        dims = SystemDims((2, 3, 2))
+        c = random_kraus_channel(dims, 2, RngStream(40))
+        assert len(semicausal_defects(c, _directions(dims))) == 6
+        assert calls == []
+        # the spies do count
+        c.apply(np.eye(dims.total))
+        causality.partial_trace(np.eye(dims.total), dims, (0,))
+        assert calls == ["apply", "partial_trace"]
+
+    def test_rejects_dims_mismatch(self):
+        with pytest.raises(ValueError, match="dims"):
+            semicausal_defects(identity_channel(SystemDims((2, 3))), [QUBIT_PAIR])
 
 
 class TestOperatorSchmidt:

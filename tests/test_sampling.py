@@ -402,6 +402,32 @@ class TestFactoredScenarios:
         )
         assert "is_local_channel" in calls and "_off_block" in calls
 
+    def test_one_normalisation_per_shape(self, monkeypatch):
+        """Runs of one (d_S, d_R) shape, apart in the stack, share one
+        ``_unital`` call, and each member is still its single draw."""
+        shapes = []
+        unital = sampling._unital
+
+        def spy(gs):
+            shapes.append(gs.shape)
+            return unital(gs)
+
+        dims = SystemDims((2, 3, 2))
+        c = random_kraus_channel(dims, 2, RngStream(70))
+        # shapes (2, 6), (6, 2), (6, 2), (2, 6), (4, 3), (3, 4): two
+        # classes interleave
+        directions = [p for q in all_bipartitions(dims) for p in (q, q.swapped())]
+        parts = [p for p in directions for _ in range(2)]
+        g = RngStream(71).generator()
+        singles = [random_sorkin_scenario(p, c, g) for p in parts]
+        monkeypatch.setattr(sampling, "_unital", spy)
+        kraus, _ = _member_factors(
+            random_sorkin_scenario(parts, c, RngStream(71).generator())
+        )
+        assert shapes == [(4, 3, 2, 2), (4, 3, 6, 6), (2, 3, 4, 4), (2, 3, 3, 3)]
+        for k, one in zip(kraus, singles, strict=True):
+            assert np.array_equal(k, one.prep.kraus)
+
     def test_refuses_an_empty_stack(self):
         dims = SystemDims((2, 2))
         part = Bipartition.split(dims, (0,))

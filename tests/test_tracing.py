@@ -23,15 +23,15 @@ def _load_tracing():
 
 def test_tracer_installs_on_every_traced_name():
     tracing = _load_tracing()
-    original = causality.semicausal_defect
+    original = causality.operator_schmidt_values
     tracer = tracing.Tracer()
     # set before install, so that uninstall can also undo a partial install
     tracer._table_info = tracing._base_table_info()
     try:
         tracer.install()  # raises if a traced name cannot be found
-        assert causality.semicausal_defect is not original
-        assert cli.semicausal_defect is causality.semicausal_defect
+        assert causality.operator_schmidt_values is not original
+        assert cli.operator_schmidt_values is causality.operator_schmidt_values
     finally:
         tracer.uninstall()
-    assert causality.semicausal_defect is original
-    assert cli.semicausal_defect is original
+    assert causality.operator_schmidt_values is original
+    assert cli.operator_schmidt_values is original
