@@ -55,9 +55,11 @@ def _off_block(x, d_rest: int) -> np.ndarray:
     """Subtract ``1 (x) tr_rest(op) / d_rest`` from each op of a contiguous
     ``(..., D, D)`` stack whose legs are in (rest, sites) order, in place, and
     return it: the part off the algebra on the sites, zero exactly on it."""
+    if not x.flags.c_contiguous:  # else the reshape below would copy
+        raise ValueError("the stack must be C-contiguous")
     *lead, d, _ = x.shape
     d_sites = d // d_rest
-    blocks = x.reshape(*lead, d_rest, d_sites, d_rest, d_sites, copy=False)
+    blocks = x.reshape(*lead, d_rest, d_sites, d_rest, d_sites)
     diagonal = np.einsum("...iaib->...iab", blocks)  # a writable view
     diagonal -= diagonal.sum(-3, keepdims=True) / d_rest
     return x
@@ -329,9 +331,10 @@ def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
     return semicausal_defects(c, [part])[0]
 
 
-#: Image entries held at once by :func:`semicausal_defects`: a stacked pass
-#: takes ``max(1, _DEFECT_ENTRIES // (d_R D)**2)`` directions of one shape,
-#: so its images take 16 MiB, or one direction's where that is more.
+#: Entries held at once by :func:`semicausal_defects`: a stacked pass takes
+#: ``max(1, _DEFECT_ENTRIES // max((d_R D)**2, k D**2))`` directions of one
+#: shape, so its images and its ``k``-Kraus families each take 16 MiB, or one
+#: direction's where that is more.
 _DEFECT_ENTRIES = 2**20
 
 
@@ -359,20 +362,20 @@ def semicausal_defects(c: KrausChannel, parts) -> list[SignallingReport]:
     tolerance of zero certifies no signalling sender -> receiver.
 
     Directions of equal ``(d_S, d_R)`` share stacked passes of at most
-    :data:`_DEFECT_ENTRIES` image entries.  The off-block part is taken in
-    place, on the image legs in (sender, receiver) order.  A pass runs the
-    same BLAS and LAPACK calls per direction as a pass of one, so every
-    report equals that of its direction alone.  The reports are in the order
-    of ``parts``.
+    :data:`_DEFECT_ENTRIES` image entries and as many Kraus family entries.
+    The off-block part is taken in place, on the image legs in (sender,
+    receiver) order.  A pass runs the same BLAS and LAPACK calls per
+    direction as a pass of one, so every report equals that of its direction
+    alone.  The reports are in the order of ``parts``.
     """
     parts = list(parts)
     if any(p.dims != c.dims for p in parts):
         raise ValueError("channel dims do not match the partition")
     c.single()  # one channel
-    strengths = [0.0] * len(parts)
+    d, strengths = c.dims.total, [0.0] * len(parts)
     for members in _by_shape(parts):
         d_r = parts[members[0]].right_dim
-        step = max(1, _DEFECT_ENTRIES // (d_r * c.dims.total) ** 2)
+        step = max(1, _DEFECT_ENTRIES // max((d_r * d) ** 2, c.nkraus * d * d))
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             grams = _defect_grams(c, [parts[i] for i in chunk])

@@ -742,13 +742,6 @@ def _defect_channels(dims):
     return out
 
 
-def _by_shape(directions):
-    shapes = {}
-    for p in directions:
-        shapes.setdefault((p.left_dim, p.right_dim), []).append(p)
-    return list(shapes.values())
-
-
 def _strengths(reports):
     return [(r.direction, r.strength) for r in reports]
 
@@ -762,7 +755,8 @@ class TestStackedDefects:
             alone = [semicausal_defect(c, p) for p in directions]
             assert _strengths(semicausal_defects(c, directions)) == _strengths(alone)
             # the Grams of one stacked pass per shape, bit for bit
-            for parts in _by_shape(directions):
+            for idx in causality._by_shape(directions):
+                parts = [directions[i] for i in idx]
                 grams = causality._defect_grams(c, parts)
                 for gram, p in zip(grams, parts, strict=True):
                     assert gram.tobytes() == semicausal_defect(c, p).gram.tobytes()
@@ -800,22 +794,50 @@ class TestDefectPasses:
         d_r = directions[0].right_dim
         assert reps[0].gram.shape == (d_r**2, d_r**2) and "gram" in vars(reps[0])
 
-    def test_a_pass_holds_at_most_its_entries(self, monkeypatch):
-        # (2, 2, 2): three directions of each shape, (d_R D)**2 = 256 image
-        # entries for d_R = 2 and 1024 for d_R = 4
+    @pytest.mark.parametrize(
+        "kind, entries, passes",
+        [
+            # 3 Kraus operators, k D**2 = 192 entries a direction: the
+            # images bound the pass, (d_R D)**2 = 256 for d_R = 2 and 1024
+            # for d_R = 4
+            ("kraus", 512, [1, 1, 1, 1, 2]),
+            # 64 Kraus operators, k D**2 = 4096 entries a direction: the
+            # families bound the pass
+            ("depolarizing", 8192, [1, 1, 2, 2]),
+        ],
+    )
+    def test_a_pass_holds_at_most_its_entries(self, monkeypatch, kind, entries, passes):
+        # (2, 2, 2): three directions of each shape
         dims = SystemDims((2, 2, 2))
-        c = random_kraus_channel(dims, 3, RngStream(39))
-        sizes = []
+        c = _defect_channels(dims)[kind]
+        d = dims.total
+        counts = []
         off_block = causality._off_block
 
         def spy(x, d_rest):
-            sizes.append(x.size)
+            counts.append(len(x))
+            # a pass of more than one direction holds at most `entries` image
+            # entries, and as many in its stacked Kraus families
+            assert len(x) == 1 or max(x.size, len(x) * c.nkraus * d * d) <= entries
             return off_block(x, d_rest)
 
         monkeypatch.setattr(causality, "_off_block", spy)
-        monkeypatch.setattr(causality, "_DEFECT_ENTRIES", 512)
+        monkeypatch.setattr(causality, "_DEFECT_ENTRIES", entries)
         semicausal_defects(c, _directions(dims))
-        assert sorted(sizes) == [256, 512, 1024, 1024, 1024]
+        assert sorted(counts) == passes
+
+    def test_off_block_changes_its_input_in_place(self):
+        # legs in (rest, sites) order, rest = site 0 of (2, 3)
+        dims = SystemDims((2, 3))
+        g = RngStream(41).generator()
+        x = g.standard_normal((2, 6, 6)) + 1j * g.standard_normal((2, 6, 6))
+        traced = partial_trace(x, dims, (0,)) / 2
+        want = x - np.stack([np.kron(np.eye(2), t) for t in traced])
+        assert causality._off_block(x, 2) is x
+        np.testing.assert_allclose(x, want, atol=1e-14)
+        # a reshape of a strided view would copy, so the view is refused
+        with pytest.raises(ValueError, match="contiguous"):
+            causality._off_block(want.swapaxes(-1, -2), 2)
 
     def test_embeds_traces_and_applies_nothing(self, monkeypatch):
         calls = []
