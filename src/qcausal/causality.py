@@ -65,18 +65,26 @@ def _off_block(x, d_rest: int) -> np.ndarray:
     return x
 
 
+def _in_order(ops: np.ndarray, order, dims: SystemDims) -> np.ndarray:
+    """Each op of a ``(..., D, D)`` stack with its row and column legs in site
+    ``order``; a view of ``ops`` where the reshape allows one."""
+    lead = ops.shape[:-2]
+    k, n = len(lead), dims.nsites
+    legs = [k + s for s in order]
+    shaped = ops.reshape(*lead, *dims.dims * 2)
+    return shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).reshape(ops.shape)
+
+
 def _rest_first(ops: np.ndarray, sites, dims: SystemDims):
-    """A copy of a ``(..., D, D)`` stack with each op's legs in (rest, sites)
-    order, and the dimension of the rest."""
+    """A C-contiguous copy of a ``(..., D, D)`` stack with each op's legs in
+    (rest, sites) order, for :func:`_off_block`, and the dimension of the rest."""
     _check_square(ops, dims)
     sites = sorted(_check_sites(sites, dims))
     rest = [s for s in range(dims.nsites) if s not in sites]
-    lead = ops.shape[:-2]
-    k, n = len(lead), dims.nsites
-    legs = [k + s for s in rest + sites]
-    shaped = ops.reshape(*lead, *dims.dims * 2)
-    x = shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).copy()
-    return x.reshape(ops.shape), dims.block_dim(rest)
+    x = _in_order(ops, rest + sites, dims)
+    if np.may_share_memory(x, ops):  # the ascending order gives a view
+        x = x.copy()
+    return x, dims.block_dim(rest)
 
 
 def is_supported_on(op, sites, dims: SystemDims) -> bool:
@@ -104,14 +112,19 @@ def is_local_channel(c: KrausChannel, sites) -> bool:
 def _direction_runs(partition) -> list:
     """``(part, index)`` for each run of equal directions of a scenario's
     ``partition``: the whole scenario (``...``) for one :class:`Bipartition`,
-    a slice of the member axis for each run of a sequence."""
+    a slice of the member axis for each run of a sequence, which must be
+    non-empty and of one system."""
     if isinstance(partition, Bipartition):
         return [(partition, ...)]
+    if not partition:
+        raise ValueError("need at least one scenario: one partition per member, got none")
     runs, start = [], 0
     for part, members in groupby(partition):
         n = len(list(members))
         runs.append((part, slice(start, start + n)))
         start += n
+    if any(part.dims != runs[0][0].dims for part, _ in runs):
+        raise ValueError("the members' partitions have different dims")
     return runs
 
 
@@ -158,12 +171,8 @@ class SorkinScenario:
         one = isinstance(self.partition, Bipartition)
         if not one:
             self.partition = tuple(self.partition)
-            if not self.partition:
-                raise ValueError("need one partition per member, got none")
         runs = _direction_runs(self.partition)
         dims = runs[0][0].dims
-        if any(part.dims != dims for part, _ in runs):
-            raise ValueError("the members' partitions have different dims")
         self.rho = np.asarray(self.rho, dtype=complex)
         if 0 in self.rho.shape[:-2]:
             raise ValueError("need at least one scenario")
@@ -274,9 +283,7 @@ def sorkin_violation(s: SorkinScenario):
             ob = (o @ b).reshape(m, -1, d)
             evolved = evolved + b.reshape(-1, d).conj().T @ ob
         # the state with its legs in (sender, receiver) order, as evolved
-        r = r.reshape(m, *dims.dims * 2)
-        r = r.transpose(0, *(1 + i for i in legs), *(1 + n + i for i in legs))
-        r = r.reshape(m, d_s, d_r * d)
+        r = _in_order(r, legs, dims).reshape(m, d_s, d_r * d)
         p = prep.kraus.reshape(m, -1, d_s, d_s)
         prepared = (p.reshape(m, -1, d_s) @ r).reshape(m, -1, d, d)
         p_dag = p.conj().swapaxes(-1, -2).reshape(m, -1, d_s)
@@ -389,16 +396,13 @@ def _defect_grams(c: KrausChannel, parts) -> np.ndarray:
     """The ``(m, d_R^2, d_R^2)`` Grams of the defect maps of ``m`` directions
     of one ``(d_S, d_R)`` shape, from one stacked pass; see
     :func:`semicausal_defects`."""
-    dims = c.dims
-    n, d = dims.nsites, dims.total
+    d = c.dims.total
     m, d_s, d_r = len(parts), parts[0].left_dim, parts[0].right_dim
-    shaped = c.kraus.reshape(-1, *dims.dims * 2)
     # each family with rows (Kraus, sender, receiver) and columns (sender,
     # receiver)
-    a = np.empty((m, len(shaped), d, d), dtype=complex)
+    a = np.empty((m, c.nkraus, d, d), dtype=complex)
     for j, p in enumerate(parts):
-        legs = [1 + s for s in p.left + p.right]
-        a[j] = shaped.transpose(0, *legs, *(n + leg for leg in legs)).reshape(-1, d, d)
+        a[j] = _in_order(c.kraus, p.left + p.right, c.dims)
     a = a.reshape(m, -1, d_r * d)
     images = (a.conj().swapaxes(-1, -2) @ a).reshape(m, d_r, d, d_r, d)
     # Phi(1 (x) E_rr') at [:, r, r'], then its off-block part

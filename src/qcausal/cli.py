@@ -110,7 +110,8 @@ class ExperimentConfig:
         del p["experiment"]
         seed, output = p.pop("seed"), p.pop("output")
         cfg = cls(experiment=name, seed=seed, params=p, output=output, raw=data)
-        if cfg.csv_name == cfg.report_name:  # the report would overwrite the CSV
+        # sample-haar alone writes a CSV, which its report must not overwrite
+        if name == "sample-haar" and cfg.csv_name == cfg.report_name:
             raise ConfigError(
                 f"the report and the CSV would both be written to {cfg.report_name!r}"
             )
@@ -441,24 +442,15 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
     defects = []
     one_way = []
     schmidt = {}
-    for k, part in enumerate(parts):
-        per_dir = dict(zip(("left", "right"), strengths[2 * k : 2 * k + 2]))
-        for sender, strength in per_dir.items():
-            defects.append(
-                {
-                    "left": list(part.left),
-                    "right": list(part.right),
-                    "sender": sender,
-                    "strength": strength,
-                }
-            )
-        flags = [per_dir["left"] > tol, per_dir["right"] > tol]
-        if flags[0] != flags[1]:
-            one_way.append({"left": list(part.left), "right": list(part.right)})
+    for part, left, right in zip(parts, strengths[::2], strengths[1::2]):
+        blocks = {"left": list(part.left), "right": list(part.right)}
+        for sender, strength in (("left", left), ("right", right)):
+            defects.append({**blocks, "sender": sender, "strength": strength})
+        if (left > tol) != (right > tol):
+            one_way.append(blocks)
         if channel.nkraus == 1:
-            schmidt["-".join(map(str, part.left))] = [
-                float(s) for s in operator_schmidt_values(channel.kraus[0], part)
-            ]
+            values = operator_schmidt_values(channel.kraus[0], part)
+            schmidt["-".join(map(str, part.left))] = values.tolist()
     # n_scenarios members per direction, in the order of single draws, one
     # stack per block of members across directions
     sorkin_max = 0.0
@@ -469,7 +461,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
             [directions[i // n_scenarios] for i in block], channel, rng
         )
         sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s)).max()))
-    defect_causal = all(d["strength"] <= tol for d in defects)
+    defect_causal = all(s <= tol for s in strengths)
     sorkin_causal = sorkin_max <= tol
 
     results = {

@@ -144,14 +144,10 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
     rng = _as_generator(rng)
     one = isinstance(part, Bipartition)
     parts = (part,) if one else tuple(part)
-    if not parts:
-        raise ValueError("need at least one scenario")
+    runs = [(p, members.stop - members.start) for p, members in _direction_runs(parts)]
     dims = parts[0].dims
     d = dims.total
     nkraus_prep = 3
-    runs = [(p, members.stop - members.start) for p, members in _direction_runs(parts)]
-    if any(p.dims != dims for p, _ in runs):
-        raise ValueError("the members' partitions have different dims")
     raw = []  # each run's preparation, state and observable Gaussians
     for p, n in runs:
         d_s, d_r = p.left_dim, p.right_dim

@@ -1,6 +1,6 @@
 import inspect
 from dataclasses import replace
-from itertools import combinations, groupby
+from itertools import combinations, groupby, permutations
 
 import numpy as np
 import pytest
@@ -56,7 +56,7 @@ from qcausal.tensor import (
     tensor_product,
 )
 
-from conftest import I2, X, Y, Z
+from conftest import _REFERENCE_DIMS, I2, X, Y, Z
 
 QUBIT_PAIR = Bipartition.split(SystemDims((2, 2)), (0,))
 
@@ -419,6 +419,16 @@ class TestMixedDirectionStacks:
         with pytest.raises(ValueError, match="different dims"):
             self._scenario(rho, kraus, obs, self.PARTS[:3] + [other])
 
+    def test_refuses_partitions_as_random_sorkin_scenario_does(self):
+        rho, kraus, obs = self._stacks()
+        other = Bipartition.split(SystemDims((2, 3)), (0,))
+        for parts in ([], self.PARTS[:3] + [other]):
+            with pytest.raises(ValueError) as built:
+                self._scenario(rho, kraus, obs, parts)
+            with pytest.raises(ValueError) as drawn:
+                random_sorkin_scenario(parts, cnot_channel(), RngStream(42))
+            assert str(built.value) == str(drawn.value)
+
 
 def _unitality_probe(eps):
     KrausChannel([np.sqrt(1.0 + eps) * I2], SystemDims((2,)))
@@ -779,6 +789,53 @@ class TestStackedDefects:
                     assert abs(rep.strength - want) <= 1e-14
                 else:
                     np.testing.assert_allclose(rep.strength, want, rtol=1e-12)
+
+
+def _frozen_in_order(ops, order, dims):
+    """Each op's row and column legs in site ``order``, by the transpose that
+    ``_rest_first``, ``_defect_grams`` and ``sorkin_violation`` each wrote out."""
+    lead = ops.shape[:-2]
+    k, n = len(lead), dims.nsites
+    legs = [k + s for s in order]
+    shaped = ops.reshape(*lead, *dims.dims * 2)
+    x = shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).copy()
+    return x.reshape(ops.shape)
+
+
+class TestLegOrder:
+    @pytest.mark.parametrize("dims", _REFERENCE_DIMS, ids=_dims_id)
+    def test_in_order_is_the_frozen_transpose(self, rng, dims):
+        dims = SystemDims(dims)
+        d = dims.total
+        ops = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        for p in _directions(dims):
+            order = p.left + p.right
+            for x in (ops[0, 0], ops[0], ops):
+                got = causality._in_order(x, order, dims)
+                assert got.shape == x.shape
+                assert got.tobytes() == _frozen_in_order(x, order, dims).tobytes()
+
+    def test_in_order_puts_the_factors_in_order(self, rng):
+        dims = SystemDims((2, 3, 2))
+        factors = [
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims.dims
+        ]
+        for order in permutations(range(3)):
+            got = causality._in_order(tensor_product(*factors), order, dims)
+            want = tensor_product(*[factors[s] for s in order])
+            np.testing.assert_allclose(got, want, atol=1e-14)
+
+    # (2,), (1, 2) and all sites: the (rest, sites) order is ascending
+    @pytest.mark.parametrize("sites", [(0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
+    def test_rest_first_is_a_copy_off_block_may_change(self, rng, sites):
+        dims = SystemDims((2, 3, 2))
+        big = rng.standard_normal((4, 12, 12)) + 1j * rng.standard_normal((4, 12, 12))
+        for ops in (big[0], big, big[::2]):
+            before = ops.copy()
+            x, d_rest = causality._rest_first(ops, sites, dims)
+            assert not np.shares_memory(x, ops)
+            causality._off_block(x, d_rest)
+            assert np.array_equal(ops, before)
 
 
 class TestDefectPasses:

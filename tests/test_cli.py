@@ -407,6 +407,18 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", [e for e in _TINY_BASE if e != "sample-haar"])
+    def test_report_named_like_the_default_csv_is_kept(self, tmp_path, capsys, experiment):
+        # only sample-haar writes a CSV, so no other report can overwrite one
+        name = f"{experiment}-samples.csv"
+        config = {**_TINY_BASE[experiment], "output": {"report": name}}
+        cfg = _write(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main([experiment, "--config", cfg, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr() == (f"{experiment}: PASS\n", "")
+        assert [p.name for p in out.iterdir()] == [name]
+        assert json.loads((out / name).read_text())["experiment"] == experiment
+
     def test_out_dir_that_is_a_file_is_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=3))
         code = main(["sample-haar", "--config", cfg, "--out-dir", cfg])

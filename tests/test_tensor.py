@@ -19,7 +19,7 @@ from qcausal.tensor import (
     trace_norm,
 )
 
-from conftest import I2, X, Y, Z
+from conftest import _REFERENCE_DIMS, I2, X, Y, Z
 
 
 class TestSystemDims:
@@ -188,9 +188,6 @@ def _realign_two_stage_reference(op, part):
     dl, dr = part.left_dim, part.right_dim
     blocked = shaped.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3)
     return np.ascontiguousarray(blocked.reshape(dl * dl, dr * dr))
-
-
-_REFERENCE_DIMS = [(2, 2), (2, 3, 2), (3, 3), (4, 4), (2,) * 6]
 
 
 def _site_choices(n):
