@@ -1,11 +1,12 @@
 import inspect
+import json
 from dataclasses import replace
 from itertools import combinations, groupby, permutations
 
 import numpy as np
 import pytest
 
-from qcausal import causality, channels, sampling, tensor
+from qcausal import causality, channels, cli, sampling, tensor
 from qcausal.causality import (
     PerturbationRow,
     ProductApproximation,
@@ -1156,6 +1157,73 @@ class TestStackedNearestProduct:
 
 
 class TestPerturbationProbe:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+    def test_choi_distance_matches_the_choi_oracle(self, dims):
+        dims = SystemDims(dims)
+        part = Bipartition.split(dims, (0,))
+        rng = np.random.default_rng(5)
+        # (causal, acausal); the 2-Kraus draw acts on the receiver only, so it
+        # cannot signal from the sender
+        local = random_kraus_channel(dims.sub(part.right), 2, rng)
+        pairs = [
+            (identity_channel(dims), random_kraus_channel(dims, 3, rng)),
+            (
+                embed_local(local, part.right, dims),
+                from_unitary(haar_unitary(dims.total, rng), dims),
+            ),
+        ]
+        if dims.dims == (3, 3):
+            # 81 + 1 Kraus vectors in C^81: the QR factor R is wide
+            pairs.append((depolarizing_channel(dims, 0.5), swap_channel(3)))
+        for causal, acausal in pairs:
+            # no mixed channel, so no cancellation against the causal Choi
+            norm = tensor.trace_norm(
+                channels.kraus_to_choi(acausal) - channels.kraus_to_choi(causal)
+            )
+            rows = perturbation_probe(causal, acausal, [0.1, 1e-4], part)
+            for row in rows:
+                np.testing.assert_allclose(
+                    row.choi_distance, row.epsilon * norm, rtol=1e-14, atol=0
+                )
+
+    def test_runs_without_an_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        rows = perturbation_probe(
+            identity_channel(QUBIT_PAIR.dims), cnot_channel(), [0.5, 0.1], QUBIT_PAIR
+        )
+        assert [r.epsilon for r in rows] == [0.5, 0.1]
+
+    def test_full_size_swap_through_the_cli(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "experiment": "perturb-ball",
+                    "seed": 1,
+                    "dims": [8, 8],
+                    "causal": {"name": "identity"},
+                    "acausal": {"name": "swap", "params": {"d": 8}},
+                }
+            )
+        )
+        code = cli.main(
+            ["perturb-ball", "--config", str(cfg), "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        res = json.loads((tmp_path / "perturb-ball-report.json").read_text())["results"]
+        assert res["linear"] is True
+        # J_swap and J_id are rank one, each of trace D, with overlap tr(SWAP) = d:
+        # ||J_swap - J_id||_1 = 2 sqrt(D^2 - d^2)
+        np.testing.assert_allclose(
+            [r["choi_distance"] for r in res["rows"]],
+            [r["epsilon"] * 2 * np.sqrt(64**2 - 8**2) for r in res["rows"]],
+            rtol=1e-14,
+            atol=0,
+        )
+
     def test_linear_growth_from_causal_endpoint(self):
         causal = identity_channel(SystemDims((2, 2)))
         eps = [0.5, 0.25, 0.125, 0.0625]
