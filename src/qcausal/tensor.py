@@ -317,7 +317,10 @@ def check_density(rho) -> np.ndarray:
 
     Every matrix of a ``(..., D, D)`` stack is checked, and an empty stack
     passes; an error names the first bad trace or the lowest eigenvalue of
-    the stack.
+    the stack.  Positivity is first tried as one Cholesky factorization of
+    ``rho + (DEFAULT_TOL / 2) 1``: Cholesky is backward stable, so one that
+    completes shows every eigenvalue >= -DEFAULT_TOL / 2 - O(D^2 eps |rho|),
+    above -DEFAULT_TOL.  A stack it refuses is judged by ``eigvalsh`` alone.
     """
     rho = np.asarray(rho, dtype=complex)
     if not is_hermitian(rho):
@@ -326,6 +329,11 @@ def check_density(rho) -> np.ndarray:
     bad = np.abs(traces.real - 1.0) > DEFAULT_TOL
     if bad.any():
         raise ValueError(f"density matrix has trace {traces[bad][0]:.6g}, not 1")
+    try:
+        np.linalg.cholesky(rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1]))
+        return rho
+    except np.linalg.LinAlgError:
+        pass
     lowest = np.linalg.eigvalsh(rho).min(initial=0.0)
     if lowest < -DEFAULT_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lowest:.3g}")

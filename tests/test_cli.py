@@ -722,6 +722,24 @@ class TestCheckCausal:
         assert res["sorkin_max"] < 1e-10
         assert res["one_way_directions"] == []
 
+    def test_scenario_states_need_no_eigensolve(self, tmp_path, monkeypatch):
+        # the (8, 8) Sorkin states pass the Cholesky test; only the defect
+        # Grams of the 1- and 2-qubit receivers reach eigvalsh
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        u = haar_unitary(8, np.random.default_rng(3))
+        cfg = {"experiment": "check-causal", "seed": 1, "dims": [2, 2, 2],
+               "unitary": to_re_im(u)}
+        report, code = cli.run(ExperimentConfig.from_dict(cfg), tmp_path)
+        assert code == 0 and report["results"]["causal"] is False
+        assert report["results"]["sorkin_max"] > 1e-3
+        assert set(shapes) == {(4, 4), (16, 16)}
 
     def test_peak_memory_does_not_grow_with_scenarios(self, tmp_path):
         # each run in a fresh interpreter, so that its peak RSS is its own

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qcausal.sampling import haar_unitary
 from qcausal.tensor import (
+    DEFAULT_TOL,
     Bipartition,
     SystemDims,
     all_bipartitions,
@@ -430,3 +432,43 @@ class TestCheckDensity:
             stack[2] = bad
             with pytest.raises(ValueError, match=match):
                 check_density(stack)
+
+    def test_valid_states_need_no_eigensolve(self, rng, monkeypatch):
+        g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        wishart = g @ g.conj().swapaxes(-1, -2)
+        wishart /= np.trace(wishart, axis1=-2, axis2=-1).real[:, None, None]
+        psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        psi /= np.linalg.norm(psi)
+        pure = np.outer(psi, psi.conj())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for rho in (wishart, pure, wishart[3]):
+            assert np.array_equal(check_density(rho), rho)
+
+    @staticmethod
+    def _rotated_state(lowest, rng):
+        # eigenvalues (lowest, 0.2, 0.3, 0.5 - lowest) in a Haar-random basis
+        u = haar_unitary(4, rng)
+        rho = (u * [lowest, 0.2, 0.3, 0.5 - lowest]) @ u.conj().T
+        return (rho + rho.conj().T) / 2
+
+    def test_slightly_negative_state_passes_through_the_eigensolve(self, rng, monkeypatch):
+        rho = self._rotated_state(-0.7 * DEFAULT_TOL, rng)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        assert np.array_equal(check_density(rho), rho)
+        assert calls == [(4, 4)]
+
+    def test_negative_state_beyond_the_tolerance_is_refused(self, rng):
+        rho = self._rotated_state(-1.5 * DEFAULT_TOL, rng)
+        with pytest.raises(ValueError, match="negative eigenvalue -1.5e-10"):
+            check_density(rho)
