@@ -147,7 +147,8 @@ class SorkinScenario:
     type; each block's sites are in ascending order.  The state must be a
     density matrix, the observable Hermitian and the preparation unital
     (checked by :class:`KrausChannel` at d_S), all within ``DEFAULT_TOL``.
-    Two forms are accepted, any other raises ``ValueError``:
+    Two forms are accepted, checked by one loop over runs of equal directions
+    with the same refusals; any other raises ``ValueError``:
 
     * One scenario: a :class:`Bipartition`, a ``(D, D)`` state, and the
       preparation and observable each as its factor or on the whole system
@@ -188,23 +189,14 @@ class SorkinScenario:
                 f"need one partition per member: {got} for a stack of shape {lead}"
             )
         prep, obs = self.prep, self.observable
-        whole_prep = whole_obs = False
         if one:
-            # a preparation or observable on the whole system is reduced to
-            # its factor below
-            whole_prep = isinstance(prep, KrausChannel) and prep.dims == dims
-            if whole_prep:
-                _same_stack("preparation", lead, prep.kraus.shape[:-3])
-            obs = np.asarray(obs, dtype=complex)
-            whole_obs = obs.shape[-2:] == self.rho.shape
-            if whole_obs:
-                _same_stack("observable", lead, obs.shape[:-2])
             prep, obs = [prep], [obs]
         elif not all(isinstance(v, tuple) and len(v) == len(runs) for v in (prep, obs)):
             raise ValueError(f"need one factor per run of equal directions: {len(runs)} runs")
         factors = []
         for (part, members), c, o in zip(runs, prep, obs):
-            if whole_prep:
+            # one scenario's whole-system input is reduced to its factor
+            if one and isinstance(c, KrausChannel) and c.dims == dims:
                 if not is_local_channel(c, part.left):
                     raise ValueError("preparation is not local to the sender sites")
                 ks = partial_trace(c.kraus, dims, part.right) / part.right_dim
@@ -212,7 +204,7 @@ class SorkinScenario:
             elif not isinstance(c, KrausChannel) or c.dims != dims.sub(part.left):
                 raise ValueError("channel dims do not match the partition")
             o = np.asarray(o, dtype=complex)
-            if whole_obs:
+            if one and o.shape[-2:] == self.rho.shape:
                 if not is_supported_on(o, part.right, dims):
                     raise ValueError("observable is not supported on the receiver sites")
                 o = partial_trace(o, dims, part.left) / part.left_dim
@@ -257,7 +249,7 @@ def sorkin_violation(s: SorkinScenario):
     """
     lead = s.rho.shape[:-2]
     dims = s.intervention.dims
-    d, n = dims.total, dims.nsites
+    d = dims.total
     rho = s.rho.reshape(-1, d, d)
     ks = s.intervention.kraus
     step = max(1, _KRAUS_ENTRIES // d**2)
@@ -268,10 +260,7 @@ def sorkin_violation(s: SorkinScenario):
         d_s, d_r = part.left_dim, part.right_dim
         legs = part.left + part.right
         # rows (receiver, Kraus index, sender), columns (sender, receiver)
-        rows = [1 + i for i in part.right] + [0] + [1 + i for i in part.left]
-        cols = [1 + n + i for i in legs]
-        kraus = ks.reshape(-1, *dims.dims * 2).transpose(*rows, *cols)
-        kraus = kraus.reshape(d_r, -1, d_s, d)
+        kraus = _in_order(ks, legs, dims).reshape(-1, d_s, d_r, d).transpose(2, 0, 1, 3)
         r = rho[members]
         m = len(r)
         o = obs.reshape(m, d_r, d_r)

@@ -276,6 +276,39 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="channel dims do not match"):
             SorkinScenario(rho, prep, on_one_site, obs, QUBIT_PAIR)
 
+    @pytest.mark.parametrize(
+        "part",
+        [
+            Bipartition.split(SystemDims((2, 3)), (0,)),
+            Bipartition.split(SystemDims((2, 2, 2)), (0, 2)),
+            Bipartition.split(SystemDims((2, 2, 2)), (0, 2)).swapped(),
+        ],
+        ids=["2x3", "2x2x2-outer", "2x2x2-middle"],
+    )
+    def test_each_input_as_factor_or_on_the_whole_system(self, part):
+        g = RngStream(28).generator()
+        s = random_sorkin_scenario(part, random_kraus_channel(part.dims, 2, g), g)
+        preps = (s.prep, embed_local(s.prep, part.left, part.dims))
+        observables = (s.observable, embed_operator(s.observable, part.right, part.dims))
+        want = sorkin_violation(s)
+        for prep in preps:
+            for obs in observables:
+                got = SorkinScenario(s.rho, prep, s.intervention, obs, part)
+                assert got.prep.dims == s.prep.dims
+                np.testing.assert_allclose(got.prep.kraus, s.prep.kraus, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(got.observable, s.observable, rtol=0, atol=1e-15)
+                assert abs(sorkin_violation(got) - want) <= 1e-15
+
+    def test_rejects_a_stacked_whole_system_input(self):
+        rho, prep = self._parts()
+        obs = np.kron(I2, Z)
+        c = cnot_channel()
+        stacked_prep = KrausChannel([prep.kraus] * 2, QUBIT_PAIR.dims)
+        with pytest.raises(ValueError, match="state and preparation stacks differ"):
+            SorkinScenario(rho, stacked_prep, c, obs, QUBIT_PAIR)
+        with pytest.raises(ValueError, match="state and observable stacks differ"):
+            SorkinScenario(rho, prep, c, np.array([obs] * 2), QUBIT_PAIR)
+
 
 def _factor_stack(parts, kraus, obs):
     """A stack over ``parts`` with member ``j``'s sender Kraus family
