@@ -37,6 +37,7 @@ from .tensor import (
     SystemDims,
     _check_sites,
     _check_square,
+    _in_order,
     all_bipartitions,
     check_density,
     embed_operator,
@@ -62,16 +63,6 @@ def _off_block(x, d_rest: int) -> np.ndarray:
     diagonal = np.einsum("...iaib->...iab", blocks)  # a writable view
     diagonal -= diagonal.sum(-3, keepdims=True) / d_rest
     return x
-
-
-def _in_order(ops: np.ndarray, order, dims: SystemDims) -> np.ndarray:
-    """Each op of a ``(..., D, D)`` stack with its row and column legs in site
-    ``order``; a view of ``ops`` where the reshape allows one."""
-    lead = ops.shape[:-2]
-    k, n = len(lead), dims.nsites
-    legs = [k + s for s in order]
-    shaped = ops.reshape(*lead, *dims.dims * 2)
-    return shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).reshape(ops.shape)
 
 
 def _rest_first(ops: np.ndarray, sites, dims: SystemDims):
@@ -495,9 +486,8 @@ def nearest_product_unitaries(
         u1.conj().reshape(n, 1, dl * dl) @ r @ u2.conj().reshape(n, dr * dr, 1)
     ).ravel().tolist()
     history = [[x] for x in overlap]
-    # each target's factors, overlap and sweep count when it stopped
-    best1, best2, best = np.empty_like(u1), np.empty_like(u2), [0.0] * n
-    iterations, converged = [max_iter] * n, [False] * n
+    # (u1, u2, overlap, sweeps, converged) of each target when it stops, u1 and u2 copied
+    found = [None] * n
     ids = list(range(n))  # target of each running slot
     for sweep in range(1, max_iter + 1):
         k = len(ids)
@@ -510,35 +500,27 @@ def nearest_product_unitaries(
         for j, t in enumerate(ids):
             history[t].append(new[j])
             if new[j] - overlap[j] < tol:
-                best[t] = max(new[j], overlap[j])
-                best1[t], best2[t] = u1[j], u2[j]
-                iterations[t], converged[t] = sweep, True
+                found[t] = (u1[j].copy(), u2[j].copy(), max(new[j], overlap[j]), sweep, True)
             else:
                 keep.append(j)
-        overlap = new
+        ids, overlap = [ids[j] for j in keep], [new[j] for j in keep]
         if len(keep) < k:
             for slot, j in enumerate(keep):
                 if slot != j:
                     r[slot] = r[j]
-            ids, overlap = [ids[j] for j in keep], [new[j] for j in keep]
             u1, u2 = u1[keep], u2[keep]
             if not ids:
                 break
     for j, t in enumerate(ids):
-        best1[t], best2[t], best[t] = u1[j], u2[j], overlap[j]
+        found[t] = (u1[j].copy(), u2[j].copy(), overlap[j], max_iter, False)
     dims = part.dims
     results = []
-    for i, u in enumerate(us):
-        a, b = best1[i], best2[i]
+    for u, (a, b, best, sweeps, converged), hist in zip(us, found, history):
         prod = embed_operator(a, part.left, dims) @ embed_operator(b, part.right, dims)
         phase = np.trace(prod.conj().T @ u)
         phase = phase / abs(phase) if abs(phase) > 0 else 1.0
         distance = float(np.linalg.norm(u - phase * prod))
-        results.append(
-            ProductApproximation(
-                a, b, best[i], distance, iterations[i], converged[i], history[i]
-            )
-        )
+        results.append(ProductApproximation(a, b, best, distance, sweeps, converged, hist))
     return results
 
 

@@ -147,10 +147,10 @@ def tensor_product(*ops) -> np.ndarray:
     return out
 
 
-def _check_square(op: np.ndarray, dims: SystemDims, name: str = "operator"):
+def _check_square(op: np.ndarray, dims: SystemDims):
     d = dims.total
     if op.shape[-2:] != (d, d):
-        raise ValueError(f"{name} has shape {op.shape}, expected (..., {d}, {d})")
+        raise ValueError(f"operator has shape {op.shape}, expected (..., {d}, {d})")
 
 
 def _site_indices(sites) -> tuple[int, ...]:
@@ -216,6 +216,16 @@ def partial_trace(op, dims: SystemDims, sites) -> np.ndarray:
     return out.reshape(lead + (d_keep, d_keep))
 
 
+def _in_order(ops: np.ndarray, order, dims: SystemDims) -> np.ndarray:
+    """Each op of a ``(..., D, D)`` stack with its row and column legs in site
+    ``order``; a view of ``ops`` where the reshape allows one."""
+    lead = ops.shape[:-2]
+    k, n = len(lead), dims.nsites
+    legs = [k + s for s in order]
+    shaped = ops.reshape(*lead, *dims.dims * 2)
+    return shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).reshape(ops.shape)
+
+
 def realign(op, part: Bipartition) -> np.ndarray:
     """Realign ``op`` across a bipartition.
 
@@ -228,15 +238,10 @@ def realign(op, part: Bipartition) -> np.ndarray:
     """
     op = np.asarray(op, dtype=complex)
     _check_square(op, part.dims)
-    n = part.dims.nsites
-    lead = op.shape[:-2]
-    k = len(lead)
-    # Legs (i, j, i', j') -> (i, i', j, j'), left block first.
-    legs = [*part.left, *(n + s for s in part.left)]
-    legs += [*part.right, *(n + s for s in part.right)]
-    shaped = op.reshape(lead + part.dims.dims * 2)
-    shaped = shaped.transpose([*range(k), *(k + leg for leg in legs)])
-    return shaped.reshape(lead + (part.left_dim**2, part.right_dim**2))
+    lead, dl, dr = op.shape[:-2], part.left_dim, part.right_dim
+    # legs (i, j, i', j') with the left block first, then (i, i', j, j')
+    shaped = _in_order(op, part.left + part.right, part.dims).reshape(*lead, dl, dr, dl, dr)
+    return shaped.swapaxes(-3, -2).reshape(*lead, dl * dl, dr * dr)
 
 
 def gram_sum(ks) -> np.ndarray:
@@ -288,7 +293,9 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values."""
+    """Sum of singular values, rounding-level ones included: at (8,8) ``swap``
+    against the identity the Choi difference reads 2.7e-14 relative off the
+    closed form ``2 sqrt(4032)``, which an oracle at ``D >= 36`` should use."""
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
 
 

@@ -1178,6 +1178,15 @@ class TestStackedNearestProduct:
             assert all(res.converged for res in got)
             assert len({res.iterations for res in got}) > 2
 
+    @pytest.mark.parametrize("max_iter", [500, 3])
+    def test_each_result_owns_its_factors(self, max_iter):
+        # a view into a sweep's stack would keep the whole stack alive
+        us = _mixed_targets((2, 2), seed=42)
+        got = nearest_product_unitaries(us, QUBIT_PAIR, max_iter=max_iter)
+        assert len({res.iterations for res in got}) > 1
+        for res in got:
+            assert res.u1.base is None and res.u2.base is None
+
     def test_rejects_empty_stack(self):
         with pytest.raises(ValueError, match="non-empty"):
             nearest_product_unitaries(np.zeros((0, 4, 4)), QUBIT_PAIR)

@@ -452,6 +452,20 @@ class TestExitCodes:
         report = json.loads((tmp_path / "sample-haar-report.json").read_text())
         assert report["passed"] is False
 
+    def test_expect_none_passes_whatever_the_count(self, tmp_path):
+        # every draw is within a tol above sqrt(D), which fails "no-hits"
+        def run_haar(expect):
+            cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=5, tol=3.0, expect=expect))
+            code = main(["sample-haar", "--config", cfg, "--out-dir", str(tmp_path)])
+            report = json.loads((tmp_path / "sample-haar-report.json").read_text())
+            return code, report
+
+        assert run_haar("no-hits")[0] == 2
+        code, report = run_haar("none")
+        assert code == 0 and report["passed"] is True
+        assert report["results"]["expect"] == "none"
+        assert report["results"]["count_product_within_tol"] == 5
+
 
 class TestReports:
     def test_schema_fields(self, tmp_path):
@@ -883,6 +897,52 @@ class TestOtherRunners:
         np.testing.assert_allclose(
             res["rows"][0]["defect_over_epsilon"], np.sqrt(2.0), atol=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "dims,causal,acausal",
+        [
+            ([2, 2], {"name": "identity"}, {"name": "classical-one-way"}),
+            ([2, 2], {"name": "local-random"}, {"name": "cnot"}),
+            (
+                [3, 3],
+                {"name": "depolarizing", "params": {"lam": 0.5}},
+                {"name": "swap", "params": {"d": 3}},
+            ),
+        ],
+    )
+    def test_perturb_ball_small_epsilon_is_linear(self, dims, causal, acausal):
+        # the defect's rounding, about D eps, is most of defect/eps at eps = 1e-8
+        for seed in range(1, 21):
+            cfg = ExperimentConfig.from_dict(
+                {
+                    "experiment": "perturb-ball",
+                    "seed": seed,
+                    "dims": dims,
+                    "causal": causal,
+                    "acausal": acausal,
+                    "epsilons": [0.1, 1e-8],
+                }
+            )
+            results, passed = cli._run_perturb_ball(cfg, None)
+            assert passed and results["linear"] is True
+
+    def test_perturb_ball_fails_a_nonlinear_defect(self, tmp_path, monkeypatch):
+        probe = cli.perturbation_probe
+
+        def bent(*args, **kwargs):
+            rows = probe(*args, **kwargs)
+            for r in rows:
+                if r.epsilon == 1e-3:
+                    r.defect *= 1 + scale
+            return rows
+
+        monkeypatch.setattr(cli, "perturbation_probe", bent)
+        data = {"experiment": "perturb-ball", "seed": 4, "epsilons": [0.1, 1e-3]}
+        cfg = _write(tmp_path, "c.json", data)
+        for scale, code in [(0.0, 0), (1e-6, 2)]:
+            assert main(["perturb-ball", "--config", cfg, "--out-dir", str(tmp_path)]) == code
+            report = json.loads((tmp_path / "perturb-ball-report.json").read_text())
+            assert report["results"]["linear"] is (code == 0)
 
     def test_perturb_ball_sender_orients_the_bipartition(self, tmp_path, capsys):
         def run_ball(**extra):

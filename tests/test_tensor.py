@@ -134,6 +134,10 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(3), SystemDims((2, 2)), (0,))
 
+    def test_repeated_site(self):
+        with pytest.raises(ValueError, match=r"repeated site index in \(1, 1\)"):
+            partial_trace(np.eye(8), SystemDims((2, 2, 2)), (1, 1))
+
 
 class TestEmbedOperator:
     def test_single_site(self):
@@ -164,6 +168,10 @@ class TestEmbedOperator:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             embed_operator(np.eye(3), (0,), SystemDims((2, 2)))
+
+    def test_repeated_site(self):
+        with pytest.raises(ValueError, match=r"repeated site index in \(0, 0\)"):
+            embed_operator(np.eye(4), (0, 0), SystemDims((2, 2)))
 
 
 def _embed_kron_reference(op, sites, dims):
@@ -250,6 +258,34 @@ class TestReferenceForms:
             lhs = np.vdot(embed_operator(a, sites, dims), b)
             rhs = np.vdot(a, partial_trace(b, dims, rest))
             assert abs(lhs - rhs) <= 1e-12 * d * np.abs(b).max() * np.abs(a).max()
+
+
+def _frozen_realign(op, part):
+    """The leg transpose that ``realign`` wrote out before it went through
+    ``_in_order``."""
+    n = part.dims.nsites
+    lead = op.shape[:-2]
+    k = len(lead)
+    legs = [*part.left, *(n + s for s in part.left)]
+    legs += [*part.right, *(n + s for s in part.right)]
+    shaped = op.reshape(lead + part.dims.dims * 2)
+    shaped = shaped.transpose([*range(k), *(k + leg for leg in legs)])
+    return shaped.reshape(lead + (part.left_dim**2, part.right_dim**2))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2), (3, 2, 2), (2, 4, 2), (8, 8)])
+def test_realign_is_the_frozen_transpose(rng, dims):
+    # every oriented bipartition, on one operator and on stacks
+    dims = SystemDims(dims)
+    d = dims.total
+    ops = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+    for k in range(1, dims.nsites):
+        for left in itertools.combinations(range(dims.nsites), k):
+            part = Bipartition.split(dims, left)
+            for op in (ops[0, 0], ops[0], ops):
+                got, want = realign(op, part), _frozen_realign(op, part)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
 
 
 def _realign_oracle(op, dl, dr):
@@ -363,6 +399,10 @@ class TestHermitianBasis:
         np.testing.assert_allclose(basis, basis.conj().swapaxes(-1, -2), rtol=0, atol=1e-14)
         gram = np.einsum("aij,bij->ab", basis.conj(), basis)
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-13)
+
+    def test_refuses_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            hermitian_basis(0)
 
     def test_expansion_reconstructs(self, rng):
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
