@@ -38,6 +38,7 @@ from .tensor import (
     _check_sites,
     _check_square,
     _in_order,
+    _legs_in_order,
     all_bipartitions,
     check_density,
     embed_operator,
@@ -71,10 +72,8 @@ def _rest_first(ops: np.ndarray, sites, dims: SystemDims):
     _check_square(ops, dims)
     sites = sorted(_check_sites(sites, dims))
     rest = [s for s in range(dims.nsites) if s not in sites]
-    x = _in_order(ops, rest + sites, dims)
-    if np.may_share_memory(x, ops):  # the ascending order gives a view
-        x = x.copy()
-    return x, dims.block_dim(rest)
+    x = _legs_in_order(ops, rest + sites, dims).copy()  # C order: one copy
+    return x.reshape(ops.shape), dims.block_dim(rest)
 
 
 def is_supported_on(op, sites, dims: SystemDims) -> bool:
@@ -381,7 +380,8 @@ def _defect_grams(c: KrausChannel, parts) -> np.ndarray:
     # receiver)
     a = np.empty((m, c.nkraus, d, d), dtype=complex)
     for j, p in enumerate(parts):
-        a[j] = _in_order(c.kraus, p.left + p.right, c.dims)
+        legs = _legs_in_order(c.kraus, p.left + p.right, c.dims)
+        a[j].reshape(legs.shape)[...] = legs
     a = a.reshape(m, -1, d_r * d)
     images = (a.conj().swapaxes(-1, -2) @ a).reshape(m, d_r, d, d_r, d)
     # Phi(1 (x) E_rr') at [:, r, r'], then its off-block part

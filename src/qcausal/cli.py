@@ -221,7 +221,8 @@ _SITES = _rule("a list of integers", _is_ints)
 _DIMS = _rule("a list of at least 2 integers", lambda v: _is_ints(v) and len(v) >= 2)
 _REGION = _rule(
     "a list of [t, x] integer pairs",
-    lambda v: type(v) is list and all(_is_ints(p) and len(p) == 2 for p in v),
+    lambda v: type(v) is list
+    and all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in v),
 )
 
 
@@ -659,8 +660,8 @@ def _run_lattice_sorkin(cfg: ExperimentConfig, out_dir: Path):
     if p["require_nonzero"]:
         ok = ok and deriv != 0.0
 
-    def support_json(tf):
-        return [[t, x, tf.values[(t, x)]] for t, x in tf.support]
+    def support_json(tf):  # [t, x, weight] in (t, x) order; no two share (t, x)
+        return sorted(map(list, zip(tf.ts.tolist(), tf.xs.tolist(), tf.weights.tolist())))
 
     results = {
         "lattice": {

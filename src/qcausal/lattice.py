@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import index
 from types import MappingProxyType
 
 import numpy as np
@@ -62,22 +64,23 @@ def spacelike(lattice: LatticeSpec, p, q) -> bool:
     return lattice.distance(p[1], q[1]) > abs(p[0] - q[0])
 
 
-def _int_array(values) -> np.ndarray:
-    """Exact integer array: int64, or Python ints where they do not fit."""
+def _int_array(points) -> np.ndarray:
+    """``(n, 2)`` exact integer array of a sequence of int pairs: int64, or
+    Python ints where they do not fit."""
     try:
-        return np.array(values, dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(points), np.int64, 2 * len(points))
+        return flat.reshape(-1, 2)
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.array(points, dtype=object)
 
 
-def _separations(lattice: LatticeSpec, ps, qs):
-    """``q_t - p_t`` and the periodic distance of every pair, ``[i, j]`` for
-    ``(ps[i], qs[j])``: the array form of :func:`spacelike` over two point
-    sets."""
-    ps, qs = _int_array(ps), _int_array(qs)
-    dt = qs[None, :, 0] - ps[:, None, 0]
-    dx = np.abs(qs[None, :, 1] - ps[:, None, 1]) % lattice.n_sites
-    return dt, np.minimum(dx, lattice.n_sites - dx)
+def _lattice_points(points) -> list:
+    """``points`` as (t, x) pairs of Python ints.  Float and string
+    coordinates, which ``int`` would truncate or parse, are refused."""
+    try:
+        return [(index(t), index(x)) for t, x in points]
+    except TypeError as exc:
+        raise ValueError(f"lattice coordinates must be integers: {exc}") from exc
 
 
 def _first_outside(lattice: LatticeSpec, ts, xs):
@@ -90,24 +93,35 @@ def _first_outside(lattice: LatticeSpec, ts, xs):
 
 @dataclass(frozen=True)
 class Region:
-    """A finite set of lattice points (t, x)."""
+    """A finite set of lattice points (t, x), each once, in (t, x) order."""
 
     points: tuple
+    # times and sites of ``points``, in its order (read-only)
+    ts: np.ndarray = field(repr=False, compare=False)
+    xs: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, points):
-        pts = tuple(sorted((int(t), int(x)) for t, x in points))
+        pts = tuple(dict.fromkeys(sorted(_lattice_points(points))))
         if not pts:
             raise ValueError("a region needs at least one point")
-        object.__setattr__(self, "points", pts)
+        a = _int_array(pts)
+        a.setflags(write=False)
+        for name, v in (("points", pts), ("ts", a[:, 0]), ("xs", a[:, 1])):
+            object.__setattr__(self, name, v)
 
-    def spacelike_separated(self, other: "Region", lattice: LatticeSpec) -> bool:
-        dt, dist = _separations(lattice, self.points, other.points)
-        return bool((dist > np.abs(dt)).all())
+    def spacelike_separated(self, other, lattice: LatticeSpec) -> bool:
+        """True if no point of ``other`` is in the causal past or future of
+        a point of ``self``.  Either may be a :class:`TestFunction`: the
+        check reads only the ``ts`` and ``xs`` arrays."""
+        dt = np.abs(other.ts[None, :] - self.ts[:, None])
+        dx = np.abs(other.xs[None, :] - self.xs[:, None]) % lattice.n_sites
+        return bool((np.minimum(dx, lattice.n_sites - dx) > dt).all())
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class TestFunction:
-    """Real smearing coefficients on finitely many lattice points.
+    """Real smearing coefficients ``{(t, x): weight}`` on finitely many
+    lattice points with integer coordinates.
 
     Instances compare and hash by identity so they can key the linear part
     of an :class:`AffineField` and the :func:`pauli_jordan` cache; building a
@@ -120,22 +134,25 @@ class TestFunction:
 
     values: dict
     # times, sites and weights of ``values``, in its order (read-only)
-    ts: np.ndarray = field(init=False, repr=False)
-    xs: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    ts: np.ndarray = field(repr=False)
+    xs: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     # (min t, max t, min x, max x) of the support
-    bounds: tuple = field(init=False, repr=False)
+    bounds: tuple = field(repr=False)
 
-    def __post_init__(self):
-        self.values = MappingProxyType(
-            {(int(t), int(x)): float(v) for (t, x), v in self.values.items()}
-        )
-        if not self.values:
+    def __init__(self, values, _arrays=None):
+        # ``_arrays``, if given, holds the times, sites and weights of a
+        # ``values`` dict keyed by distinct int pairs, in its order
+        if not values:
             raise ValueError("a test function needs at least one support point")
-        points = _int_array(list(self.values))
-        self.ts, self.xs = points[:, 0], points[:, 1]
-        self.weights = np.fromiter(self.values.values(), float, len(self.values))
-        for a in (self.ts, self.xs, self.weights):
+        if _arrays is None:
+            points = _lattice_points(values)
+            values = dict(zip(points, map(float, values.values())))
+            a = _int_array(list(values))
+            _arrays = a[:, 0], a[:, 1], np.fromiter(values.values(), float, len(values))
+        self.values = MappingProxyType(values)
+        self.ts, self.xs, self.weights = _arrays
+        for a in _arrays:
             a.setflags(write=False)
         self.bounds = tuple(
             int(v) for v in (self.ts.min(), self.ts.max(), self.xs.min(), self.xs.max())
@@ -158,17 +175,19 @@ def triangular_bump(
     spatial circle; the time extent must fit inside the window and the
     spatial extent on the circle, so no two patch points share a site.
     """
-    tc, xc = int(center[0]), int(center[1])
+    ((tc, xc),) = _lattice_points([center])
     if tc - half_t < 0 or tc + half_t >= lattice.n_steps:
         raise ValueError("bump time extent leaves the window")
     if 2 * half_x + 1 > lattice.n_sites:
         raise ValueError("bump spatial extent is wider than the circle")
-    vals = {}
-    for dt in range(-half_t, half_t + 1):
-        for dx in range(-half_x, half_x + 1):
-            w = (1.0 - abs(dt) / (half_t + 1.0)) * (1.0 - abs(dx) / (half_x + 1.0))
-            vals[(tc + dt, (xc + dx) % lattice.n_sites)] = w
-    return TestFunction(vals)
+    dts, dxs = range(-half_t, half_t + 1), range(-half_x, half_x + 1)
+    points = [(tc + dt, (xc + dx) % lattice.n_sites) for dt in dts for dx in dxs]
+    # int offsets become floats before dividing, as in Python, so each weight
+    # has the bits of the scalar formula; time-major, as the points are
+    weights = np.outer(1.0 - np.abs(dts) / (half_t + 1.0), 1.0 - np.abs(dxs) / (half_x + 1.0))
+    weights = weights.ravel()
+    a = _int_array(points)
+    return TestFunction(dict(zip(points, weights.tolist())), (a[:, 0], a[:, 1], weights))
 
 
 @lru_cache(maxsize=8)
@@ -286,7 +305,7 @@ def _spacelike_supports(
     Cached like :func:`pauli_jordan`: keys hash by identity, are read-only
     and are held alive, so one op's chains check its (g, h) pair once.
     """
-    return g.region().spacelike_separated(h.region(), lattice)
+    return Region.spacelike_separated(g, h, lattice)
 
 
 def sorkin_chain(
@@ -367,8 +386,7 @@ def build_scenario(
     vanishes identically.
     """
     opts = opts or BuildOptions()
-    kp = _int_array(k.points)
-    ts, xs = kp[:, 0], kp[:, 1]
+    ts, xs = k.ts, k.xs
     p = _first_outside(lattice, ts, xs)
     if p is not None:
         raise ValueError(f"region point {p} outside the lattice window")
@@ -385,7 +403,7 @@ def build_scenario(
     tc, xc = 0.5 * (t0k + t1k), 0.5 * (x0k + x1k)
     ht, hx = 0.5 * (t1k - t0k), 0.5 * (x1k - x0k)
     weights = (1.0 - np.abs(ts - tc) / (ht + 1.0)) * (1.0 - np.abs(xs - xc) / (hx + 1.0))
-    f = TestFunction(dict(zip(k.points, weights.tolist())))
+    f = TestFunction(dict(zip(k.points, weights.tolist())), (ts, xs, weights))
 
     # h ends and g starts time_gap >= 1 slices clear of K; a forward reach
     # needs a non-negative time difference, so K cannot reach h nor g reach K.

@@ -216,14 +216,21 @@ def partial_trace(op, dims: SystemDims, sites) -> np.ndarray:
     return out.reshape(lead + (d_keep, d_keep))
 
 
-def _in_order(ops: np.ndarray, order, dims: SystemDims) -> np.ndarray:
-    """Each op of a ``(..., D, D)`` stack with its row and column legs in site
-    ``order``; a view of ``ops`` where the reshape allows one."""
+def _legs_in_order(ops: np.ndarray, order, dims: SystemDims) -> np.ndarray:
+    """The legs of each op of a ``(..., D, D)`` stack, rows then columns,
+    each in site ``order``: a view of ``ops``, so that the caller's one
+    reshape or assignment is its one copy."""
     lead = ops.shape[:-2]
     k, n = len(lead), dims.nsites
     legs = [k + s for s in order]
     shaped = ops.reshape(*lead, *dims.dims * 2)
-    return shaped.transpose(*range(k), *legs, *(n + leg for leg in legs)).reshape(ops.shape)
+    return shaped.transpose(*range(k), *legs, *(n + leg for leg in legs))
+
+
+def _in_order(ops: np.ndarray, order, dims: SystemDims) -> np.ndarray:
+    """Each op of a ``(..., D, D)`` stack with its row and column legs in site
+    ``order``; a view of ``ops`` where the reshape allows one."""
+    return _legs_in_order(ops, order, dims).reshape(ops.shape)
 
 
 def realign(op, part: Bipartition) -> np.ndarray:
@@ -239,9 +246,11 @@ def realign(op, part: Bipartition) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     _check_square(op, part.dims)
     lead, dl, dr = op.shape[:-2], part.left_dim, part.right_dim
+    n, nl = part.dims.nsites, len(part.left)
     # legs (i, j, i', j') with the left block first, then (i, i', j, j')
-    shaped = _in_order(op, part.left + part.right, part.dims).reshape(*lead, dl, dr, dl, dr)
-    return shaped.swapaxes(-3, -2).reshape(*lead, dl * dl, dr * dr)
+    legs = _legs_in_order(op, part.left + part.right, part.dims)
+    legs = np.moveaxis(legs, range(-n, nl - n), range(nl - 2 * n, 2 * nl - 2 * n))
+    return legs.reshape(*lead, dl * dl, dr * dr)
 
 
 def gram_sum(ks) -> np.ndarray:

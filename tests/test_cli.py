@@ -1096,6 +1096,37 @@ class TestLatticeSorkinOp:
         assert code == 0
         return report["results"]
 
+    @pytest.mark.parametrize(
+        "k_region, message",
+        [
+            ([[6, 20, 1]], "'k_region' must be a list of [t, x] integer pairs"),
+            ([[6.0, 20]], "'k_region' must be a list of [t, x] integer pairs"),
+            ([[True, 20]], "'k_region' must be a list of [t, x] integer pairs"),
+            ([[6, "20"]], "'k_region' must be a list of [t, x] integer pairs"),
+            ([[6]], "'k_region' must be a list of [t, x] integer pairs"),
+            ("x", "'k_region' must be a list of [t, x] integer pairs"),
+            ([], "a region needs at least one point"),
+        ],
+        ids=["triple", "float", "bool", "string", "single", "not-a-list", "empty"],
+    )
+    def test_k_region_refusals(self, k_region, message, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", dict(self.WIDE, k_region=k_region))
+        assert main(["lattice-sorkin", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+        assert not (tmp_path / "lattice-sorkin-report.json").exists()
+
+    def test_repeated_k_point_counts_once(self, tmp_path):
+        # the config echo keeps the repeat; f and every Delta do not see it
+        reports = []
+        for k_region in ([[6, 20], [6, 20], [6, 21]], [[6, 20], [6, 21]]):
+            cfg = dict(_README_EXAMPLES["lattice-sorkin"], k_region=k_region)
+            report, code = cli.run(ExperimentConfig.from_dict(cfg), tmp_path)
+            assert code == 0 and report["config"]["k_region"] == k_region
+            reports.append(report["results"])
+        assert reports[0] == reports[1]
+        assert [p[:2] for p in reports[0]["supports"]["f"]] == [[6, 20], [6, 21]]
+
     @pytest.mark.parametrize("name", ["readme", "wide"])
     def test_exact_bits(self, name, tmp_path):
         res = self._results(name, tmp_path)

@@ -250,12 +250,37 @@ class TestGeometry:
         with pytest.raises(ValueError, match="point"):
             Region([])
 
+    def test_region_holds_each_point_once_in_order(self):
+        r = Region([(6, 21), (6, 20), (5, 30), (6, 21)])
+        assert r.points == ((5, 30), (6, 20), (6, 21))
+        assert r.ts.tolist() == [5, 6, 6] and r.xs.tolist() == [30, 20, 21]
+        assert not r.ts.flags.writeable and not r.xs.flags.writeable
+
 
 class TestTestFunction:
     def test_values_normalized(self):
-        f = TestFunction({(np.int64(1), 2.0): 3})
+        f = TestFunction({(np.int64(1), 2): 3})
         assert f.values == {(1, 2): 3.0}
+        assert all(type(c) is int for c in next(iter(f.values)))
         assert f.support == ((1, 2),)
+
+    @pytest.mark.parametrize("point", [(1.5, 2), (1, 2.0), ("3", 2), (np.float64(1), 2)])
+    def test_non_integer_coordinates_refused(self, point):
+        # int() would truncate 1.5 to 1 and parse "3" as 3
+        with pytest.raises(ValueError, match="lattice coordinates must be integers"):
+            TestFunction({point: 1.0})
+        with pytest.raises(ValueError, match="lattice coordinates must be integers"):
+            Region([(0, 0), point])
+        with pytest.raises(ValueError, match="lattice coordinates must be integers"):
+            triangular_bump(LAT, point, 1, 1)
+
+    def test_integer_coordinates_kept_exactly(self):
+        r = Region([(np.int64(3), np.int32(2)), (10**23, 0)])
+        assert r.points == ((3, 2), (10**23, 0))
+        assert all(type(c) is int for p in r.points for c in p)
+        assert r.ts.dtype == object and r.ts.tolist() == [3, 10**23]
+        f = TestFunction({(10**23, np.int64(-1)): 2.0})
+        assert f.values == {(10**23, -1): 2.0} and f.bounds == (10**23, 10**23, -1, -1)
 
     def test_values_are_read_only(self):
         # the pauli_jordan memo and the weights array assume they never change
@@ -285,6 +310,22 @@ class TestTestFunction:
         assert b.values[(5, 23)] == 0.5  # wraps on the circle
         assert b.values[(4, 1)] == 0.25
         assert len(b.values) == 9
+
+    @pytest.mark.parametrize(
+        "center, half_t, half_x", [((5, 0), 1, 1), ((6, 20), 2, 3), ((4, 2), 0, 11), ((3, 7), 3, 0)]
+    )
+    def test_triangular_bump_is_the_scalar_loop(self, center, half_t, half_x):
+        # frozen form: the loop over dt then dx, each weight by the scalar formula
+        want = {}
+        for dt in range(-half_t, half_t + 1):
+            for dx in range(-half_x, half_x + 1):
+                w = (1.0 - abs(dt) / (half_t + 1.0)) * (1.0 - abs(dx) / (half_x + 1.0))
+                want[(center[0] + dt, (center[1] + dx) % LAT.n_sites)] = w
+        b = triangular_bump(LAT, center, half_t, half_x)
+        assert list(b.values) == list(want)
+        assert [v.hex() for v in b.values.values()] == [w.hex() for w in want.values()]
+        assert [w.hex() for w in b.weights.tolist()] == [w.hex() for w in want.values()]
+        assert list(zip(b.ts.tolist(), b.xs.tolist())) == list(want)
 
     def test_triangular_bump_window_check(self):
         with pytest.raises(ValueError, match="window"):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,22 @@ class TestRealign:
         part = Bipartition(d, (0, 2), (1,))
         r = realign(op, part)
         np.testing.assert_allclose(r, np.outer(a.ravel(), b.ravel()), atol=1e-12)
+
+    @pytest.mark.parametrize("left", [(0, 2, 4), (0, 1, 2)])
+    def test_one_copy_of_the_stack(self, left):
+        # a left block that is not a prefix of the sites is copied once, as a
+        # prefix is: two copies of a 16 x 64 x 64 stack would peak at 2 MiB
+        dims = SystemDims((2,) * 6)
+        ops = np.zeros((16, 64, 64), dtype=complex)
+        part = Bipartition.split(dims, left)
+        tracemalloc.start()
+        try:
+            out = realign(ops, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == ops.nbytes
+        assert ops.nbytes <= peak <= 1.25 * ops.nbytes
 
 
 class TestPolarUnitary:
