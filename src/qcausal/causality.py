@@ -451,9 +451,9 @@ def nearest_product_unitaries(
     Fixing one factor, the optimal other factor is the closest unitary (polar
     part) to a partial contraction of the realignment, so every half step
     increases the overlap; iteration stops when the gain drops below ``tol``.
-    The start point is the polar projection of the top operator Schmidt
-    component, and ties (e.g. for swap-like unitaries, whose optimum is far
-    from unique) are broken deterministically by the numpy SVD.
+    The start is the polar projection of the top operator Schmidt component,
+    the top singular pair of the economy SVD of each target's realignment;
+    ties (e.g. for swap-like unitaries) are broken deterministically by numpy.
 
     ``us`` is an ``(n, D, D)`` stack of targets, one result each.  All
     targets still running share each sweep's stacked matmuls and polar
@@ -478,7 +478,7 @@ def nearest_product_unitaries(
     u1 = np.empty((n, dl, dl), dtype=complex)
     u2 = np.empty((n, dr, dr), dtype=complex)
     for i, m in enumerate(r):
-        w, _, vh = np.linalg.svd(m)
+        w, _, vh = np.linalg.svd(m, full_matrices=False)
         u1[i] = w[:, 0].reshape(dl, dl)
         u2[i] = vh[0].conj().reshape(dr, dr)
     u1, u2 = polar_unitary(u1), polar_unitary(u2)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, groupby, permutations
 
@@ -1086,7 +1087,7 @@ def _nearest_product_reference(u, part, tol=1e-12, max_iter=500):
     r = realign(u, part)
     dl, dr = part.left_dim, part.right_dim
     d = part.dims.total
-    w, _, vh = np.linalg.svd(r)
+    w, _, vh = np.linalg.svd(r, full_matrices=False)
     u1 = polar_unitary(w[:, 0].reshape(dl, dl))
     u2 = polar_unitary(vh[0].conj().reshape(dr, dr))
 
@@ -1152,6 +1153,69 @@ _STACK_GRID = [
     ((2, 2, 2), (0,)),
     ((2, 2, 2), (0, 2)),
 ]
+
+
+def _full_matrices_reference(u, part, max_iter=500):
+    """The frozen single-target loop with its former start, the full-matrices SVD.
+
+    Every other SVD on the path is square or values-only, where
+    ``full_matrices`` changes nothing.
+    """
+    svd = np.linalg.svd
+
+    def full_svd(a, full_matrices=True, **kwargs):
+        return svd(a, full_matrices=True, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", full_svd)
+        return _nearest_product_reference(u, part, max_iter=max_iter)
+
+
+def _six_qubit_haar(n):
+    stream = RngStream(48)
+    return np.array([haar_unitary(64, stream.substream(i)) for i in range(n)])
+
+
+_UNBALANCED_CUTS = [(0,), (0, 1, 2, 3, 4)]
+
+
+class TestEconomyStart:
+    """The start reads the economy SVD, never the unread square factor."""
+
+    @pytest.mark.parametrize(
+        "dims,left",
+        [
+            (dims, left)
+            for dims, left in _STACK_GRID
+            if np.prod([dims[i] for i in left]) ** 2 != np.prod(dims)
+        ]
+        + [((2,) * 6, left) for left in _UNBALANCED_CUTS],
+    )
+    def test_matches_full_matrices_start(self, dims, left):
+        part = Bipartition.split(SystemDims(dims), left)
+        if len(dims) == 6:
+            us = _six_qubit_haar(2)
+        else:
+            us = _mixed_targets(dims, seed=40 + len(dims) * 10 + sum(dims))
+        for u, res in zip(us, nearest_product_unitaries(us, part)):
+            ref = _full_matrices_reference(u, part)
+            assert res.iterations == ref.iterations
+            assert res.converged == ref.converged
+            np.testing.assert_allclose(res.overlap, ref.overlap, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("left", _UNBALANCED_CUTS)
+    def test_unbalanced_cut_peak_memory(self, left):
+        # a full-matrices start would build a 1024 x 1024 factor (16 MiB) here
+        us = _six_qubit_haar(1)
+        part = Bipartition.split(SystemDims((2,) * 6), left)
+        tracemalloc.start()
+        try:
+            nearest_product_unitaries(us, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestStackedNearestProduct:

@@ -30,7 +30,7 @@ from qcausal.sampling import (
     measure_zero_experiment,
     random_kraus_channel,
 )
-from qcausal.tensor import SystemDims, to_re_im
+from qcausal.tensor import SystemDims, from_re_im, to_re_im
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -873,6 +873,32 @@ class TestOtherRunners:
         ]["rows"][0]
         np.testing.assert_allclose(row["distance"], np.sqrt(8 - 2 * row["overlap"]))
         assert len(row["u1"]) == 2 and len(row["u2"]) == 2
+
+    @pytest.mark.parametrize("left", [[0], [0, 1, 2, 3, 4]])
+    def test_nearest_product_six_qubits(self, tmp_path, left):
+        base = {
+            "experiment": "nearest-product",
+            "seed": 9,
+            "dims": [2] * 6,
+            "left_sites": left,
+        }
+
+        def results(**extra):
+            cfg = _write(tmp_path, "c.json", {**base, **extra})
+            assert main(["nearest-product", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+            return json.loads((tmp_path / "nearest-product-report.json").read_text())["results"]
+
+        rows = results(n_samples=2)["rows"]
+        assert [r["label"] for r in rows] == ["haar-0", "haar-1"]
+        assert all(r["converged"] for r in rows)
+        u = haar_unitary(64, RngStream(10))
+        (row,) = results(unitary=to_re_im(u))["rows"]
+        assert row["converged"]
+        # the prefix split makes u1 (x) u2 the kron product of the reported factors
+        prod = np.kron(from_re_im(row["u1"]), from_re_im(row["u2"]))
+        phase = np.trace(prod.conj().T @ u)
+        distance = np.linalg.norm(u - phase / abs(phase) * prod)
+        np.testing.assert_allclose(row["distance"], distance, rtol=1e-12)
 
     def test_nearest_product_rejects_noisy_channel(self, tmp_path, capsys):
         cfg = _write(
