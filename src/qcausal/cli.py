@@ -204,8 +204,8 @@ _REAL = _rule("a finite number", _is_real, float)
 _TOL = _rule("a finite number >= 0", lambda v: _is_real(v) and v >= 0, float)
 _REALS = _rule("a list of finite numbers", _is_reals, _floats)
 _EPSILONS = _rule(
-    "a list of finite numbers, one > 0",
-    lambda v: _is_reals(v) and max(v, default=0) > 0,
+    "a list of numbers in [0, 1], one > 0",
+    lambda v: _is_reals(v) and all(0 <= e <= 1 for e in v) and max(v, default=0) > 0,
     _floats,
 )
 _WEIGHT = _rule("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1, float)
@@ -569,9 +569,9 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path):
     return results, all(r["converged"] for r in rows)
 
 
-#: The defect rounds off by up to about ``D eps`` (1.0 D eps at most measured), so
-#: each defect/epsilon may pass ``linearity_rtol`` by this many ``D eps / epsilon``.
-_DEFECT_ROUNDING = 8.0
+#: The defect and the Choi distance round off by up to about ``D eps`` (1.0 and 0.02
+#: D eps measured), so each ratio may pass ``linearity_rtol`` by this many D eps / epsilon.
+_RATIO_ROUNDING = 8.0
 
 
 def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path):
@@ -601,21 +601,20 @@ def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path):
         mean = sum(vals) / len(vals)
         return (max(vals) - min(vals)) / abs(mean) if mean else 0.0
 
-    defect_spread = spread("defect_over_epsilon")
-    choi_spread = spread("choi_distance_over_epsilon")
-    # each defect/epsilon against the one at the largest epsilon, the most accurate
-    ref = max(table, key=lambda row: row["epsilon"])["defect_over_epsilon"]
-    floor = _DEFECT_ROUNDING * dims.total * np.finfo(float).eps
-    linear = choi_spread <= rtol and all(
-        abs(row["defect_over_epsilon"] - ref) <= rtol * abs(ref) + floor / row["epsilon"]
+    # each ratio against the one at the largest epsilon, the most accurate
+    top = max(table, key=lambda row: row["epsilon"])
+    floor = _RATIO_ROUNDING * dims.total * np.finfo(float).eps
+    linear = all(
+        abs(row[key] - top[key]) <= rtol * abs(top[key]) + floor / row["epsilon"]
         for row in table if row["epsilon"] > 0
+        for key in ("defect_over_epsilon", "choi_distance_over_epsilon")
     )
     results = {
         "dims": list(dims.dims),
         "sender": sender,
         "rows": table,
-        "defect_ratio_spread": defect_spread,
-        "choi_ratio_spread": choi_spread,
+        "defect_ratio_spread": spread("defect_over_epsilon"),
+        "choi_ratio_spread": spread("choi_distance_over_epsilon"),
         "linearity_rtol": rtol,
         "linear": linear,
     }

@@ -612,6 +612,21 @@ class TestSorkinViolation:
                 hits += 1
         assert hits > 0
 
+    def test_six_qubit_scenario_peak_memory(self):
+        # one Kraus block at a time; reading E from the defect's receiver
+        # matrix-unit images took 128 MiB here
+        dims = SystemDims((2,) * 6)
+        part = Bipartition.split(dims, (0,))
+        intervention = from_unitary(_six_qubit_haar(1)[0], dims)
+        s = random_sorkin_scenario(part, intervention, RngStream(49).generator())
+        tracemalloc.start()
+        try:
+            sorkin_violation(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 def _one_way_defect_oracle():
     """Largest gain of the leakage map of the classical one-way channel,

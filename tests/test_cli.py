@@ -283,6 +283,8 @@ class TestExitCodes:
             ),
             # exited 1 without naming the field
             ("perturb-ball", {"sender": "top"}, "sender"),
+            ("perturb-ball", {"epsilons": [1.5]}, "epsilons"),
+            ("perturb-ball", {"epsilons": [0.1, -0.1]}, "epsilons"),
             # each of these exited 2
             ("check-causal", {"n_scenarios": -3}, "n_scenarios"),
             ("nearest-product", {"max_iter": 0}, "max_iter"),
@@ -318,6 +320,8 @@ class TestExitCodes:
             "float-swap-d",
             "unknown-causal-param",
             "bad-sender",
+            "epsilon-above-one",
+            "negative-epsilon",
             "negative-count",
             "zero-max-iter",
             "stream-past-2-64",
@@ -952,14 +956,30 @@ class TestOtherRunners:
             results, passed = cli._run_perturb_ball(cfg, None)
             assert passed and results["linear"] is True
 
-    def test_perturb_ball_fails_a_nonlinear_defect(self, tmp_path, monkeypatch):
+    def test_perturb_ball_rounding_passes_at_zero_rtol(self):
+        # the Choi ratios differ by rounding only, which a spread test without
+        # the floor read against linearity_rtol; the README default, and (8,8)
+        configs = [
+            {"seed": seed, "linearity_rtol": rtol}
+            for rtol in (0, 1e-16)
+            for seed in range(1, 11)
+        ]
+        swap8 = {"name": "swap", "params": {"d": 8}}
+        configs.append({"seed": 1, "linearity_rtol": 0, "dims": [8, 8], "acausal": swap8})
+        for extra in configs:
+            cfg = ExperimentConfig.from_dict({"experiment": "perturb-ball", **extra})
+            results, passed = cli._run_perturb_ball(cfg, None)
+            assert passed and results["linear"] is True
+
+    @staticmethod
+    def _bend_at_1e3(tmp_path, monkeypatch, field):
         probe = cli.perturbation_probe
 
         def bent(*args, **kwargs):
             rows = probe(*args, **kwargs)
             for r in rows:
                 if r.epsilon == 1e-3:
-                    r.defect *= 1 + scale
+                    setattr(r, field, getattr(r, field) * (1 + scale))
             return rows
 
         monkeypatch.setattr(cli, "perturbation_probe", bent)
@@ -969,6 +989,12 @@ class TestOtherRunners:
             assert main(["perturb-ball", "--config", cfg, "--out-dir", str(tmp_path)]) == code
             report = json.loads((tmp_path / "perturb-ball-report.json").read_text())
             assert report["results"]["linear"] is (code == 0)
+
+    def test_perturb_ball_fails_a_nonlinear_defect(self, tmp_path, monkeypatch):
+        self._bend_at_1e3(tmp_path, monkeypatch, "defect")
+
+    def test_perturb_ball_fails_a_nonlinear_choi_distance(self, tmp_path, monkeypatch):
+        self._bend_at_1e3(tmp_path, monkeypatch, "choi_distance")
 
     def test_perturb_ball_sender_orients_the_bipartition(self, tmp_path, capsys):
         def run_ball(**extra):

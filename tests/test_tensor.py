@@ -442,6 +442,10 @@ class TestSmallHelpers:
         assert is_unitary(X)
         assert not is_unitary(np.diag([1.0, 2.0]))
         assert not is_unitary(np.ones((2, 3)))
+        # one matrix, not a stack: only the (0, 0) matrix is empty
+        assert is_unitary(np.zeros((0, 0)))
+        assert not is_unitary(np.eye(4)[None])
+        assert not is_unitary(np.zeros((0, 4, 4)))
 
     def test_is_hermitian(self):
         assert is_hermitian(Y)
