@@ -287,21 +287,19 @@ def _channel_from(params, dims: SystemDims, rng) -> KrausChannel:
     return c
 
 
-def emit_csv(records, path: Path):
-    """Write records (a non-empty list of uniform dicts) as RFC-4180 CSV.
+def emit_csv(columns: dict, path: Path):
+    """Write ``{column: values}`` as RFC-4180 CSV, one row per index.
 
-    The columns are the keys of the first record.  Floats are printed with 17
-    significant digits so that reading them back with ``float`` reproduces
-    the exact binary64 values.
+    Columns of unequal length raise ``ValueError`` and write nothing.  Floats
+    are printed with 17 significant digits so that reading them back with
+    ``float`` reproduces the exact binary64 values.
     """
-    if not records:
-        raise ValueError("no records to infer csv columns from")
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow(records[0].keys())
+    writer.writerow(columns)
     writer.writerows(
-        [format(v, ".17g") if isinstance(v, float) else v for v in rec.values()]
-        for rec in records
+        [format(v, ".17g") if isinstance(v, float) else v for v in row]
+        for row in zip(*columns.values(), strict=True)
     )
     _overwrite(path, text.getvalue().encode())
 
@@ -501,12 +499,18 @@ def _run_sample_haar(cfg: ExperimentConfig, out_dir: Path):
     stats = measure_zero_experiment(
         dims, n_samples, tol, RngStream(cfg.seed, offset), sampler=sampler
     )
-    emit_csv(stats.records, out_dir / cfg.csv_name)
+    columns = {
+        "sample_id": range(n_samples),
+        "second_schmidt": stats.second_schmidt,
+        "product_distance": stats.product_distance,
+        "seed": [cfg.seed] * n_samples,
+    }
+    emit_csv(columns, out_dir / cfg.csv_name)
     results = {
-        "dims": list(stats.dims),
-        "n_samples": stats.n_samples,
-        "tol": stats.tol,
-        "sampler": stats.sampler,
+        "dims": list(dims.dims),
+        "n_samples": n_samples,
+        "tol": tol,
+        "sampler": sampler,
         "stream_offset": offset,
         "count_product_within_tol": stats.count_product_within_tol,
         "min_second_schmidt": stats.min_second_schmidt,
@@ -545,22 +549,19 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path):
         if channel.nkraus != 1:
             raise ConfigError("nearest-product needs a unitary input")
         blocks, labels = [channel.kraus], ["input"]
-    found = []
+    rows = []  # each block's results become rows before the next block is drawn
     for us in blocks:
-        found += nearest_product_unitaries(us, part, tol=p["tol"], max_iter=p["max_iter"])
-    rows = []
-    for label, res in zip(labels, found):
-        row = {
-            "label": label,
-            "overlap": res.overlap,
-            "distance": res.distance,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        }
-        if len(found) == 1:
-            row["u1"] = to_re_im(res.u1)
-            row["u2"] = to_re_im(res.u2)
-        rows.append(row)
+        for res in nearest_product_unitaries(us, part, tol=p["tol"], max_iter=p["max_iter"]):
+            row = {
+                "label": labels[len(rows)],
+                "overlap": res.overlap,
+                "distance": res.distance,
+                "iterations": res.iterations,
+                "converged": res.converged,
+            }
+            if len(labels) == 1:
+                row.update(u1=to_re_im(res.u1), u2=to_re_im(res.u2))
+            rows.append(row)
     results = {
         "dims": list(dims.dims),
         "left_sites": list(part.left),
@@ -570,7 +571,8 @@ def _run_nearest_product(cfg: ExperimentConfig, out_dir: Path):
 
 
 #: The defect and the Choi distance round off by up to about ``D eps`` (1.0 and 0.02
-#: D eps measured), so each ratio may pass ``linearity_rtol`` by this many D eps / epsilon.
+#: D eps measured), so each ratio may pass ``linearity_rtol`` by this many D eps / epsilon,
+#: and a defect no larger than this many D eps tells nothing about linearity.
 _RATIO_ROUNDING = 8.0
 
 
@@ -598,12 +600,19 @@ def _run_perturb_ball(cfg: ExperimentConfig, out_dir: Path):
 
     def spread(key):
         vals = [row[key] for row in table if row["epsilon"] > 0]
+        # mean > 0: two rows have a defect above the floor, so J_a != J_c too
         mean = sum(vals) / len(vals)
-        return (max(vals) - min(vals)) / abs(mean) if mean else 0.0
+        return (max(vals) - min(vals)) / mean
 
+    # a Python float: floor / epsilon at a subnormal epsilon is inf, silently
+    floor = _RATIO_ROUNDING * dims.total * sys.float_info.epsilon
+    if sum(row["epsilon"] > 0 and row["defect"] > floor for row in table) < 2:
+        raise ConfigError(
+            f"'epsilons' must give at least two rows whose defect exceeds the "
+            f"rounding floor {floor:.3g}"
+        )
     # each ratio against the one at the largest epsilon, the most accurate
     top = max(table, key=lambda row: row["epsilon"])
-    floor = _RATIO_ROUNDING * dims.total * np.finfo(float).eps
     linear = all(
         abs(row[key] - top[key]) <= rtol * abs(top[key]) + floor / row["epsilon"]
         for row in table if row["epsilon"] > 0

@@ -7,13 +7,13 @@ and the mapping from ``(seed, stream)`` to draws is fixed by the Philox
 algorithm plus numpy's documented transforms (ziggurat Gaussians), so runs
 are reproducible across platforms.  Per-sample work uses stream id = sample
 index and is therefore embarrassingly parallel; the sequential reduction
-used here is one associative order of the same per-sample records.
+used here is one associative order of the same per-sample results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,18 +180,15 @@ def random_sorkin_scenario(part, intervention: KrausChannel, rng) -> SorkinScena
 
 @dataclass
 class MeasureZeroStats:
-    """Aggregate record of one measure-zero sampling run."""
+    """Aggregates and per-sample values of one measure-zero sampling run."""
 
-    dims: tuple[int, ...]
-    n_samples: int
-    tol: float
-    sampler: str
     count_product_within_tol: int
     min_second_schmidt: float
     min_product_distance: float
     histogram_counts: list[int]
     histogram_edges: list[float]
-    records: list[dict] = field(repr=False, default_factory=list)
+    second_schmidt: list[float]  # one per sample, in sample order
+    product_distance: list[float]
 
 
 def measure_zero_experiment(
@@ -209,7 +206,7 @@ def measure_zero_experiment(
     as the control arm, for which every sample must register as product.
 
     Sample ``i`` uses random stream ``rng.substream(i)``, so any prefix or
-    subset of samples is reproducible in isolation.  Records per sample: the
+    subset of samples is reproducible in isolation.  Keeps per sample: the
     worst-bipartition second operator Schmidt value and the nearest-product
     distance at that worst bipartition.  Samples are drawn in blocks of
     :data:`SAMPLE_BLOCK`; each block runs one stacked Schmidt pass per
@@ -245,28 +242,16 @@ def measure_zero_experiment(
                 members = us if group.size == n else us[group]
                 found = nearest_product_unitaries(members, part)
                 distances[start + group] = [res.distance for res in found]
-    records = [
-        {
-            "sample_id": i,
-            "second_schmidt": float(seconds[i]),
-            "product_distance": float(distances[i]),
-            "seed": rng.seed,
-        }
-        for i in range(n_samples)
-    ]
     upper = math.sqrt(dims.total / 2.0)  # sharp bound on the second Schmidt value
     counts, edges = np.histogram(
         np.clip(seconds, 0.0, upper), bins=HISTOGRAM_BINS, range=(0.0, upper)
     )
     return MeasureZeroStats(
-        dims=dims.dims,
-        n_samples=n_samples,
-        tol=tol,
-        sampler=sampler,
         count_product_within_tol=int((seconds <= tol).sum()),
         min_second_schmidt=float(seconds.min()),
         min_product_distance=float(distances.min()),
-        histogram_counts=[int(c) for c in counts],
-        histogram_edges=[float(e) for e in edges],
-        records=records,
+        histogram_counts=counts.tolist(),
+        histogram_edges=edges.tolist(),
+        second_schmidt=seconds.tolist(),
+        product_distance=distances.tolist(),
     )

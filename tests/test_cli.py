@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -606,11 +607,12 @@ class TestCsv:
         )
         with open(tmp_path / "sample-haar-samples.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 6
-        for row, rec in zip(rows, stats.records):
-            assert int(row["sample_id"]) == rec["sample_id"]
-            assert float(row["second_schmidt"]) == rec["second_schmidt"]
-            assert float(row["product_distance"]) == rec["product_distance"]
+        assert [int(row["sample_id"]) for row in rows] == list(range(6))
+        assert {row["seed"] for row in rows} == {"77"}
+        # the lists equal the cells bit for bit
+        for key in ("second_schmidt", "product_distance"):
+            cells = [float(row[key]).hex() for row in rows]
+            assert cells == [v.hex() for v in getattr(stats, key)]
 
     def test_header_plus_one_line_per_record(self, tmp_path):
         cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=6))
@@ -618,9 +620,10 @@ class TestCsv:
         lines = (tmp_path / "sample-haar-samples.csv").read_text().splitlines()
         assert len(lines) == 7
 
-    def test_emit_csv_empty_needs_explicit_columns(self, tmp_path):
-        with pytest.raises(ValueError, match="columns"):
-            emit_csv([], tmp_path / "empty.csv")
+    def test_emit_csv_refuses_unequal_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_csv({"a": [1, 2, 3], "b": [0.5, 1.5]}, tmp_path / "bad.csv")
+        assert not (tmp_path / "bad.csv").exists()
 
 
 def _csv_oracle(records, path):
@@ -651,9 +654,13 @@ class TestOutputFiles:
         stats = measure_zero_experiment(
             SystemDims((2, 2)), n_samples, 1e-6, RngStream(77), sampler="global"
         )
+        records = [
+            {"sample_id": i, "second_schmidt": s, "product_distance": d, "seed": 77}
+            for i, (s, d) in enumerate(zip(stats.second_schmidt, stats.product_distance))
+        ]
         return (
             (json.dumps(report, indent=2, sort_keys=True) + "\n").encode(),
-            _csv_oracle(stats.records, out_dir.parent / "oracle.csv"),
+            _csv_oracle(records, out_dir.parent / "oracle.csv"),
         )
 
     def test_longer_files_leave_no_tail(self, tmp_path):
@@ -680,7 +687,7 @@ class TestOutputFiles:
             {"a": 'x,"y"\n', "b": 1.5, "c": None, "d": "\r"},
             {"a": "", "b": -0.0, "c": 2**70, "d": " q "},
         ]
-        emit_csv(records, tmp_path / "got.csv")
+        emit_csv({k: [rec[k] for rec in records] for k in records[0]}, tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == _csv_oracle(
             records, tmp_path / "want.csv"
         )
@@ -865,6 +872,27 @@ class TestOtherRunners:
         monkeypatch.setattr(cli, "SAMPLE_BLOCK", 3)
         assert rows() == whole
 
+    def test_nearest_product_memory_does_not_grow_with_samples(self, monkeypatch):
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", 4)
+
+        def transient(n):
+            """Traced peak of n (2, 3) draws less what the results keep."""
+            cfg = ExperimentConfig.from_dict(
+                {"experiment": "nearest-product", "seed": 9, "dims": [2, 3], "n_samples": n}
+            )
+            tracemalloc.start()
+            try:
+                results = cli._run_nearest_product(cfg, None)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(results[0]["rows"]) == n
+            return peak - kept
+
+        transient(16)  # warm-up
+        # beyond its rows, 256 draws hold no more than four blocks do
+        assert transient(256) <= 2 * transient(16)
+
     def test_nearest_product_explicit_unitary(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -970,6 +998,38 @@ class TestOtherRunners:
             cfg = ExperimentConfig.from_dict({"experiment": "perturb-ball", **extra})
             results, passed = cli._run_perturb_ball(cfg, None)
             assert passed and results["linear"] is True
+
+    _SWAP8 = {"dims": [8, 8], "acausal": {"name": "swap", "params": {"d": 8}}}
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            ({"epsilons": [1e-200]}, 1),  # defect 0.0
+            ({"epsilons": [1e-15]}, 1),  # one row, below the rounding floor
+            ({"epsilons": [0.1, 5e-324]}, 1),  # one row above it
+            ({}, 0),
+            (_SWAP8, 0),
+        ],
+    )
+    def test_perturb_ball_needs_two_rows_above_rounding(self, tmp_path, capsys, extra, code):
+        cfg = _write(tmp_path, "c.json", {"experiment": "perturb-ball", "seed": 4, **extra})
+        assert main(["perturb-ball", "--config", cfg, "--out-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: 'epsilons'") and err.count("\n") == 1
+
+    def test_perturb_ball_subnormal_epsilon_prints_one_error_line(self, tmp_path, capsys):
+        # the defect at 5e-324 is rounding, so its ratio to epsilon is inf
+        data = {
+            "experiment": "perturb-ball",
+            "seed": 4,
+            **self._SWAP8,
+            "causal": {"name": "local-random"},
+            "epsilons": [0.1, 0.01, 5e-324],
+        }
+        cfg = _write(tmp_path, "c.json", data)
+        assert main(["perturb-ball", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: the report would hold a non-finite number\n"
 
     @staticmethod
     def _bend_at_1e3(tmp_path, monkeypatch, field):
