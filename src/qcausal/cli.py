@@ -26,13 +26,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -294,17 +291,19 @@ def emit_csv(columns: dict, path: Path):
     are printed with 17 significant digits so that reading them back with
     ``float`` reproduces the exact binary64 values.
     """
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(columns)
-    writer.writerows(
-        [format(v, ".17g") if isinstance(v, float) else v for v in row]
-        for row in zip(*columns.values(), strict=True)
-    )
-    _overwrite(path, text.getvalue().encode())
+    # each row is encoded into the one buffer as it is written: no str copy
+    with io.TextIOWrapper(io.BytesIO(), "utf-8", newline="", write_through=True) as text:
+        writer = csv.writer(text)
+        writer.writerow(columns)
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in row]
+            for row in zip(*columns.values(), strict=True)
+        )
+        with text.buffer.getbuffer() as data:  # released before the buffer closes
+            _overwrite(path, data)
 
 
-def _overwrite(path: Path, data: bytes):
+def _overwrite(path: Path, data: bytes | memoryview):
     """Make the file at ``path`` hold exactly ``data``, created with mode
     0o666 less the umask if it does not exist.
 
@@ -316,10 +315,12 @@ def _overwrite(path: Path, data: bytes):
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            view = memoryview(data)
-            while view:  # os.write may write less than it is given
-                view = view[os.write(fd, view):]
-            os.ftruncate(fd, len(data))
+            # no view of data outlives the with, even when a write raises
+            with memoryview(data) as whole:
+                done = 0
+                while done < len(whole):  # os.write may write less than it is given
+                    done += os.write(fd, whole[done:])
+            os.ftruncate(fd, done)
         finally:
             os.close(fd)
     except OSError as exc:
@@ -327,100 +328,36 @@ def _overwrite(path: Path, data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# the report writer: the bytes of json.dumps(v, indent=2, sort_keys=True,
-# allow_nan=False), which with any indent runs CPython's pure-Python encoder
+# the report writer
 # ---------------------------------------------------------------------------
 
 _escape = json.encoder.encode_basestring_ascii  # what json.dumps calls
-# every character the repr of a list of finite ints and floats can hold
-_NUMBER_LIST = re.compile(r"[0-9.e+\-\[\], ]*")
+# one line of JSON, by CPython's C encoder (any indent runs the Python one)
+_line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def _encode(v, nl: str) -> str:
-    """``v`` laid out as ``json.dumps`` with ``indent=2`` lays it out, ``nl``
-    being a newline and the indent of the line ``v`` starts on.
+    """``v`` as JSON, ``nl`` being a newline and the indent of its first line.
 
-    A non-finite float raises ``ValueError``; a type that ``json.dumps``
-    refuses, or a dict key that is not a string, raises ``TypeError``.
+    A non-empty dict, or a list whose first item is a dict (a table), holds
+    one entry per line, two spaces deeper, keys sorted; any other value is
+    one line of ``json.dumps(v, sort_keys=True)``.  A non-finite float raises
+    ``ValueError``; a type that ``json.dumps`` refuses, or a key of a dict
+    over lines that is not a string, raises ``TypeError``.
     """
-    if isinstance(v, str):
-        return _escape(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError("the report would hold a non-finite number")
-        return float.__repr__(v)
     inner = nl + "  "
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        text = _number_array(v, nl) if type(v) is list else None
-        if text is not None:
-            return text
-        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in v]) + nl + "]"
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
+    if isinstance(v, dict) and v:
         # _escape raises TypeError on a key that is not a string
         items = [_escape(k) + ": " + _encode(x, inner) for k, x in sorted(v.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _number_array(v: list, nl: str):
-    """The layout of ``v`` if it is a list of ints and floats, all nested
-    equally deep and all finite, else None.
-
-    Such a list prints with ``repr`` as ``json.dumps`` without an indent
-    prints it; its separators, one form per nesting level, are then swapped
-    for their indented forms.
-    """
-    first = v
-    while type(first) is list and first:
-        first = first[0]
-    if type(first) is not int and type(first) is not float:
-        return None
-    text = repr(v)  # nan, inf, True, np.float64(...), quotes, braces fail here
-    if not _NUMBER_LIST.fullmatch(text) or "[]" in text:
-        return None
-    depth = len(text) - len(text.lstrip("["))
-    start, seps, end = _array_layout(nl, depth)
-    body = text[depth:-depth]
-    # outermost separators first: each holds the inner ones; a bracket left
-    # over once all are marked means leaves at more than one depth
-    for mark, (sep, _) in enumerate(seps):
-        body = body.replace(sep, chr(mark))
-    if "[" in body or "]" in body:
-        return None
-    for mark, (_, indented) in enumerate(seps):
-        body = body.replace(chr(mark), indented)
-    return start + body + end
-
-
-@lru_cache(maxsize=64)
-def _array_layout(nl: str, depth: int):
-    """Opening run, ``(repr separator, indented separator)`` per level from
-    the outermost, and closing run of a ``depth``-deep number array at ``nl``."""
-    ind = [nl + "  " * j for j in range(depth + 1)]
-
-    def opening(k):  # "[" of the levels below k, each with its items' indent
-        return "".join("[" + ind[j] for j in range(k + 1, depth + 1))
-
-    def closing(k):  # "]" of the levels below k, each on its own line
-        return "".join(ind[j] + "]" for j in range(depth - 1, k - 1, -1))
-
-    seps = [
-        ("]" * (depth - k) + ", " + "[" * (depth - k), closing(k) + "," + ind[k] + opening(k))
-        for k in range(1, depth + 1)
-    ]
-    return opening(0), seps, closing(0)
+    if isinstance(v, (list, tuple)) and v and isinstance(v[0], dict):
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in v]) + nl + "]"
+    try:
+        return _line(v)
+    except ValueError as exc:
+        if not str(exc).startswith("Out of range float"):
+            raise
+        raise ValueError("the report would hold a non-finite number") from None
 
 
 # ---------------------------------------------------------------------------

@@ -841,6 +841,27 @@ class TestStackedDefects:
                     np.testing.assert_allclose(rep.strength, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (4, 4)], ids=_dims_id)
+def test_defect_trace_is_the_schmidt_entangling_power(dims):
+    """For a unitary U and a direction S -> R, tr G(S->R) = d_S d_R² E(U)
+    with E(U) = 1 - sum (s_i²/D)² over U's operator Schmidt values: the
+    Schmidt path is an oracle for ``_defect_grams``'s legs and off-block part.
+    """
+    dims = SystemDims(dims)
+    g = RngStream(41).generator()
+    product = from_unitary(haar_local_unitary(dims, g), dims)
+    for c in (from_unitary(haar_unitary(dims.total, g), dims), product):
+        for p in _directions(dims):
+            s = operator_schmidt_values(c.kraus[0], p)
+            entangling = 1 - np.sum((s**2 / dims.total) ** 2)
+            trace = np.trace(causality._defect_grams(c, [p])[0]).real
+            if c is product:  # reads 0 on both sides
+                assert abs(trace) <= 1e-12 and abs(entangling) <= 1e-12
+            else:
+                want = p.left_dim * p.right_dim**2 * entangling
+                assert abs(trace - want) <= 1e-12 * want
+
+
 def _frozen_in_order(ops, order, dims):
     """Each op's row and column legs in site ``order``, by the transpose that
     ``_rest_first``, ``_defect_grams`` and ``sorkin_violation`` each wrote out."""

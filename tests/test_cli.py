@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -40,6 +41,45 @@ _README_EXAMPLES = {
     b["experiment"]: b
     for b in map(json.loads, re.findall(r"```json\n(.*?)```", _README.read_text(), re.S))
 }
+
+
+_TOKEN = re.compile(r'"(?:\\.|[^"\\])*"|[][{}:,]|[^][{}:,\s"]+')
+_KEY = re.compile(r'"(?:\\.|[^"\\])*": ')
+
+
+def assert_report_layout(text, v):
+    """``text`` holds the tokens of ``json.dumps(v, sort_keys=True)`` laid out
+    by the report rule: a non-empty dict, or a list whose first item is a
+    dict, opens a line per entry two spaces deeper; any other value is one
+    line written as ``json.dumps`` writes it."""
+    assert _TOKEN.findall(text) == _TOKEN.findall(
+        json.dumps(v, sort_keys=True, allow_nan=False)
+    )
+    lines = text.split("\n")
+    closers = []  # of the values laid out over lines, outermost first
+    for i, line in enumerate(lines):
+        entry = line.lstrip(" ")
+        if entry.removesuffix(",") in ("}", "]"):
+            assert closers.pop() == entry[0], line
+            assert len(line) - len(entry) == 2 * len(closers), line
+            continue
+        assert len(line) - len(entry) == 2 * len(closers), line
+        if closers and closers[-1] == "}":
+            key = _KEY.match(entry)
+            assert key, line
+            entry = entry[key.end():]
+        value = entry.removesuffix(",")
+        if value in ("{", "["):
+            following = lines[i + 1].lstrip(" ")
+            assert following.removesuffix(",") not in ("}", "]"), "empty value over lines"
+            assert value == "{" or following.startswith("{"), "list of values over lines"
+            closers.append("}" if value == "{" else "]")
+        else:
+            parsed = json.loads(value)
+            assert value == json.dumps(parsed, sort_keys=True), line
+            assert not (type(parsed) is dict and parsed), "dict on one line"
+            assert not (type(parsed) is list and parsed and type(parsed[0]) is dict), line
+    assert not closers
 
 
 def _write(tmp_path, name, data):
@@ -490,9 +530,8 @@ class TestReports:
         cfg = _write(tmp_path, "c.json", _README_EXAMPLES[name])
         assert main([name, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         text = (tmp_path / f"{name}-report.json").read_text()
-        assert text.endswith("\n")
-        parsed = json.loads(text)
-        assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+        assert text.endswith("}\n")
+        assert_report_layout(text[:-1], json.loads(text))
 
     def test_custom_output_names(self, tmp_path):
         cfg = _write(
@@ -504,17 +543,18 @@ class TestReports:
         assert (tmp_path / "r.json").exists()
         assert (tmp_path / "s.csv").exists()
 
-    def test_rerun_identical_up_to_wall_time(self, tmp_path):
-        cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=8))
+    @pytest.mark.parametrize("name", sorted(_README_EXAMPLES))
+    def test_rerun_identical_up_to_wall_time(self, name, tmp_path):
+        cfg = _write(tmp_path, "c.json", _README_EXAMPLES[name])
+        runs = []
         for d in ("a", "b"):
-            main(["sample-haar", "--config", cfg, "--out-dir", str(tmp_path / d)])
-        ra = json.loads((tmp_path / "a" / "sample-haar-report.json").read_text())
-        rb = json.loads((tmp_path / "b" / "sample-haar-report.json").read_text())
-        ra.pop("wall_time_s"), rb.pop("wall_time_s")
-        assert ra == rb
-        assert (tmp_path / "a" / "sample-haar-samples.csv").read_bytes() == (
-            tmp_path / "b" / "sample-haar-samples.csv"
-        ).read_bytes()
+            out = tmp_path / d
+            assert main([name, "--config", cfg, "--out-dir", str(out)]) == 0
+            text = (out / f"{name}-report.json").read_bytes()
+            kept = [x for x in text.split(b"\n") if not x.startswith(b'  "wall_time_s": ')]
+            assert len(kept) == text.count(b"\n")  # the wall time is one line
+            runs.append((kept, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
+        assert runs[0] == runs[1]
 
 
 # Values for the report writer.  Numbers cover both ends of the float range,
@@ -569,12 +609,13 @@ def _dumps(v):
 
 
 class TestReportWriter:
-    """``cli._encode`` against its oracle, ``json.dumps``."""
+    """``cli._encode`` against its oracle: the tokens of ``json.dumps``, laid
+    out by the report rule."""
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(_VALUES)
     def test_bytes_equal_json_dumps(self, v):
-        assert cli._encode(v, "\n") == _dumps(v)
+        assert_report_layout(cli._encode(v, "\n"), v)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(_VALUES, _number_arrays(), _NON_FINITE, st.data())
@@ -625,6 +666,23 @@ class TestCsv:
             emit_csv({"a": [1, 2, 3], "b": [0.5, 1.5]}, tmp_path / "bad.csv")
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_emit_csv_holds_the_text_once(self, tmp_path):
+        n, g = 40000, np.random.default_rng(5)
+        columns = {
+            "sample_id": list(range(n)),
+            "second_schmidt": g.random(n).tolist(),
+            "product_distance": g.random(n).tolist(),
+            "seed": [7] * n,
+        }
+        tracemalloc.start()
+        try:
+            emit_csv(columns, tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a str of the text beside its encoded bytes reads about 3x
+        assert peak < 1.5 * (tmp_path / "s.csv").stat().st_size
+
 
 def _csv_oracle(records, path):
     """The bytes of ``records`` written through a text file, as ``emit_csv``
@@ -658,10 +716,9 @@ class TestOutputFiles:
             {"sample_id": i, "second_schmidt": s, "product_distance": d, "seed": 77}
             for i, (s, d) in enumerate(zip(stats.second_schmidt, stats.product_distance))
         ]
-        return (
-            (json.dumps(report, indent=2, sort_keys=True) + "\n").encode(),
-            _csv_oracle(records, out_dir.parent / "oracle.csv"),
-        )
+        text = cli._encode(report, "\n")
+        assert_report_layout(text, report)
+        return (text + "\n").encode(), _csv_oracle(records, out_dir.parent / "oracle.csv")
 
     def test_longer_files_leave_no_tail(self, tmp_path):
         out = tmp_path / "out"
@@ -681,6 +738,16 @@ class TestOutputFiles:
         monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:100]))
         cli._overwrite(tmp_path / "f", bytes(range(256)) * 40)
         assert (tmp_path / "f").read_bytes() == bytes(range(256)) * 40
+
+    def test_failed_csv_write_is_a_config_error(self, tmp_path, monkeypatch):
+        def full(fd, data):
+            del data  # as os.write, keep no view of the buffer
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full)
+        # not BufferError from closing the CSV buffer while a view of it lives
+        with pytest.raises(ConfigError, match="No space left"):
+            emit_csv({"a": [0.5, 1.5]}, tmp_path / "s.csv")
 
     def test_csv_quoting_matches_a_text_file(self, tmp_path):
         records = [
