@@ -415,6 +415,21 @@ def is_causal_unitary(u, dims: SystemDims, tol: float = DEFAULT_TOL) -> bool:
     return all(operator_schmidt_values(u, p)[1] <= tol for p in all_bipartitions(dims))
 
 
+# The nearest-product tail step (see nearest_product_unitaries), measured on
+# Haar targets at (3,3), (4,4) and (8,8).  1e-4 is the largest trigger gain at
+# which no step was refused: 1e-3 and 1e-2 ran 4-17 % fewer sweeps but
+# refused 1-25 steps, and 1e-5 and 1e-6 ran 3-14 % more sweeps.
+_AITKEN_GAIN = 1e-4
+# Open bounds on the gain ratio g1 / g0, which keep the step lambda / (1 -
+# lambda) below 199.  (0, 1) ran the same sweeps; a tighter upper bound of 0.9
+# ran 28 % more at (8,8).
+_AITKEN_RATIO = (0.01, 0.99)
+# Plain sweeps after a step, which refill the two gains the next step reads.
+# With 0, a refused step repeats on every sweep until max_iter; 1 and 3 ran
+# 5-22 % and under 2 % more sweeps than 2.
+_AITKEN_COOLDOWN = 2
+
+
 @dataclass
 class ProductApproximation:
     """Best product-unitary approximation found for a unitary."""
@@ -423,9 +438,11 @@ class ProductApproximation:
     u2: np.ndarray
     overlap: float  # |tr((u1 (x) u2)^+ u)|
     distance: float  # Frobenius distance up to a global phase
-    iterations: int
+    iterations: int  # sweeps run, extrapolated ones included
     converged: bool
-    overlap_history: list  # overlap after each full sweep, starting value first
+    # overlap after each full sweep, starting value first; a refused
+    # extrapolation repeats the previous value, so it never decreases
+    overlap_history: list
 
 
 def nearest_product_unitary(
@@ -454,6 +471,16 @@ def nearest_product_unitaries(
     The start is the polar projection of the top operator Schmidt component,
     the top singular pair of the economy SVD of each target's realignment;
     ties (e.g. for swap-like unitaries) are broken deterministically by numpy.
+
+    In the linear tail a target takes an Aitken step.  When its last two
+    gains ``g0``, ``g1`` satisfy ``g1 < 1e-4`` and ``0.01 < g1 / g0 < 0.99``
+    (``g0 > 0``), and it has run two plain sweeps since its last step, its next
+    sweep starts from ``u2 + lambda / (1 - lambda) (u2 - prev)`` with
+    ``lambda = sqrt(g1 / g0)`` (the overlap gain is quadratic in the factor
+    error) and ``prev`` the ``u2`` before its last accepted sweep; the half
+    step's polar projection makes the start unitary again.  If that sweep
+    does not raise the overlap, the step is refused: the target keeps its
+    factors and overlap, the sweep counts, and the stop test is skipped.
 
     ``us`` is an ``(n, D, D)`` stack of targets, one result each.  All
     targets still running share each sweep's stacked matmuls and polar
@@ -489,26 +516,55 @@ def nearest_product_unitaries(
     # (u1, u2, overlap, sweeps, converged) of each target when it stops, u1 and u2 copied
     found = [None] * n
     ids = list(range(n))  # target of each running slot
+    # per slot: u2 before the last accepted sweep, the last two gains, cooldown
+    prev, g0, g1, cool = u2, [0.0] * n, [0.0] * n, [0] * n
     for sweep in range(1, max_iter + 1):
         k = len(ids)
         rk = r[:k]
-        u1 = polar_unitary((rk @ u2.conj().reshape(k, dr * dr, 1)).reshape(k, dl, dl))
-        contracted = rk.transpose(0, 2, 1) @ u1.conj().reshape(k, dl * dl, 1)
-        u2 = polar_unitary(contracted.reshape(k, dr, dr))
-        new = np.abs(u2.conj().reshape(k, 1, dr * dr) @ contracted).ravel().tolist()
+        jump = {
+            j: math.sqrt(g1[j] / g0[j])
+            for j in range(k)
+            if cool[j] == 0
+            and 0 < g0[j]
+            and g1[j] < _AITKEN_GAIN
+            and _AITKEN_RATIO[0] < g1[j] / g0[j] < _AITKEN_RATIO[1]
+        }
+        start = u2
+        if jump:
+            start = u2.copy()
+            for j, lam in jump.items():
+                start[j] += lam / (1 - lam) * (u2[j] - prev[j])
+        v1 = polar_unitary((rk @ start.conj().reshape(k, dr * dr, 1)).reshape(k, dl, dl))
+        contracted = rk.transpose(0, 2, 1) @ v1.conj().reshape(k, dl * dl, 1)
+        v2 = polar_unitary(contracted.reshape(k, dr, dr))
+        new = np.abs(v2.conj().reshape(k, 1, dr * dr) @ contracted).ravel().tolist()
+        refused = {j for j in jump if new[j] <= overlap[j]}
+        if refused:
+            kept, prev = prev, u2.copy()
+            for j in refused:
+                v1[j], v2[j], prev[j], new[j] = u1[j], u2[j], kept[j], overlap[j]
+        else:
+            prev = u2
+        u1, u2 = v1, v2
         keep = []
         for j, t in enumerate(ids):
             history[t].append(new[j])
-            if new[j] - overlap[j] < tol:
+            gain = new[j] - overlap[j]
+            cool[j] = _AITKEN_COOLDOWN if j in jump else max(cool[j] - 1, 0)
+            if j in refused:
+                keep.append(j)
+            elif gain < tol:
                 found[t] = (u1[j].copy(), u2[j].copy(), max(new[j], overlap[j]), sweep, True)
             else:
                 keep.append(j)
+                g0[j], g1[j] = g1[j], gain
         ids, overlap = [ids[j] for j in keep], [new[j] for j in keep]
         if len(keep) < k:
             for slot, j in enumerate(keep):
                 if slot != j:
                     r[slot] = r[j]
-            u1, u2 = u1[keep], u2[keep]
+            u1, u2, prev = u1[keep], u2[keep], prev[keep]
+            g0, g1, cool = [g0[j] for j in keep], [g1[j] for j in keep], [cool[j] for j in keep]
             if not ids:
                 break
     for j, t in enumerate(ids):

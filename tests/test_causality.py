@@ -1071,12 +1071,27 @@ class TestNearestProductUnitary:
 
     def test_overlap_history_is_monotone(self):
         stream = RngStream(33)
-        for i in range(5):
-            u = haar_unitary(4, stream.substream(i))
-            approx = nearest_product_unitary(u, QUBIT_PAIR)
-            h = np.array(approx.overlap_history)
-            assert np.all(np.diff(h) > -1e-12)
-            assert approx.converged
+        for d in (2, 4, 8):
+            part = Bipartition.split(SystemDims((d, d)), (0,))
+            for i in range(5):
+                u = haar_unitary(d * d, stream.substream(i))
+                approx = nearest_product_unitary(u, part)
+                h = np.array(approx.overlap_history)
+                assert np.all(np.diff(h) > -1e-12)
+                assert approx.converged
+                if d > 2:
+                    # the tail step fires at these sizes and saves sweeps
+                    ref = _nearest_product_reference(u, part)
+                    assert approx.iterations < ref.iterations
+
+    def test_converges_where_the_plain_sweep_hits_max_iter(self):
+        # sample 54 of the (2,)*6 sample-haar run with seed 7; the plain
+        # sweep stops here after 500 sweeps at overlap 28.488027240488584
+        u = haar_unitary(64, RngStream(7, 54).generator())
+        part = Bipartition.split(SystemDims((2,) * 6), (0, 1, 2, 4, 5))
+        approx = nearest_product_unitary(u, part)
+        assert approx.converged
+        assert approx.overlap > 28.488027240488584
 
     def test_distance_overlap_identity(self):
         u = haar_unitary(4, RngStream(34))
@@ -1119,7 +1134,7 @@ class TestNearestProductUnitary:
 
 
 def _nearest_product_reference(u, part, tol=1e-12, max_iter=500):
-    """Frozen single-target loop that the stacked optimizer replaced."""
+    """Frozen single-target loop of plain sweeps, without the tail step."""
     r = realign(u, part)
     dl, dr = part.left_dim, part.right_dim
     d = part.dims.total
@@ -1155,6 +1170,33 @@ def _nearest_product_reference(u, part, tol=1e-12, max_iter=500):
     return ProductApproximation(
         u1, u2, overlap, distance, iterations, converged, history
     )
+
+
+def _assert_single_target_runs(us, part, got, max_iter=500):
+    """Each stacked result equals that target run alone, bit for bit."""
+    assert len(got) == len(us)
+    for u, res in zip(us, got):
+        one = nearest_product_unitary(u, part, max_iter=max_iter)
+        assert np.array_equal(res.u1, one.u1)
+        assert np.array_equal(res.u2, one.u2)
+        assert res.overlap == one.overlap
+        assert res.distance == one.distance
+        assert res.iterations == one.iterations
+        assert res.converged == one.converged
+        assert res.overlap_history == one.overlap_history
+
+
+def _assert_no_worse_than(res, ref):
+    """The optimizer against the frozen loop: the same maximum where that
+    converges, in no more sweeps; at least its overlap where it stops at
+    ``max_iter``."""
+    if not ref.converged:
+        assert res.overlap >= ref.overlap
+        return
+    assert res.converged
+    assert res.iterations <= ref.iterations
+    np.testing.assert_allclose(res.overlap, ref.overlap, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-12, atol=0)
 
 
 def _basis_permutation(dims, f):
@@ -1233,12 +1275,10 @@ class TestEconomyStart:
             us = _six_qubit_haar(2)
         else:
             us = _mixed_targets(dims, seed=40 + len(dims) * 10 + sum(dims))
-        for u, res in zip(us, nearest_product_unitaries(us, part)):
-            ref = _full_matrices_reference(u, part)
-            assert res.iterations == ref.iterations
-            assert res.converged == ref.converged
-            np.testing.assert_allclose(res.overlap, ref.overlap, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-12, atol=0)
+        got = nearest_product_unitaries(us, part)
+        _assert_single_target_runs(us, part, got)
+        for u, res in zip(us, got):
+            _assert_no_worse_than(res, _full_matrices_reference(u, part))
 
     @pytest.mark.parametrize("left", _UNBALANCED_CUTS)
     def test_unbalanced_cut_peak_memory(self, left):
@@ -1261,16 +1301,9 @@ class TestStackedNearestProduct:
         part = Bipartition.split(SystemDims(dims), left)
         us = _mixed_targets(dims, seed=40 + len(dims) * 10 + sum(dims))
         got = nearest_product_unitaries(us, part, max_iter=max_iter)
-        assert len(got) == len(us)
+        _assert_single_target_runs(us, part, got, max_iter=max_iter)
         for u, res in zip(us, got):
-            ref = _nearest_product_reference(u, part, max_iter=max_iter)
-            assert np.array_equal(res.u1, ref.u1)
-            assert np.array_equal(res.u2, ref.u2)
-            assert res.overlap == ref.overlap
-            assert res.distance == ref.distance
-            assert res.iterations == ref.iterations
-            assert res.converged == ref.converged
-            assert res.overlap_history == ref.overlap_history
+            _assert_no_worse_than(res, _nearest_product_reference(u, part, max_iter=max_iter))
         # targets leave the stack at different sweeps
         if max_iter == 3:
             assert {res.converged for res in got} == {True, False}

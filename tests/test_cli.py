@@ -923,6 +923,18 @@ class TestOtherRunners:
         assert all(r["converged"] for r in res["rows"])
         assert all("u1" not in r for r in res["rows"])
 
+    def test_nearest_product_eight_by_eight_converges(self, tmp_path):
+        # without the tail step, row haar-1 stops at max_iter = 500 and the run exits 2
+        cfg = _write(
+            tmp_path,
+            "c.json",
+            {"experiment": "nearest-product", "seed": 1, "dims": [8, 8], "n_samples": 4},
+        )
+        assert main(["nearest-product", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "nearest-product-report.json").read_text())["results"]
+        assert len(res["rows"]) == 4
+        assert all(r["converged"] for r in res["rows"])
+
     def test_nearest_product_blocks_do_not_change_rows(self, tmp_path, monkeypatch):
         cfg = _write(
             tmp_path,
