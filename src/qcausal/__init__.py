@@ -11,6 +11,7 @@ separations are exact.
 __version__ = "0.1.0"
 
 from .causality import (
+    DefectPasses,
     PerturbationRow,
     ProductApproximation,
     SignallingReport,

@@ -223,54 +223,91 @@ def _same_stack(name: str, lead, got):
 _KRAUS_ENTRIES = 4096
 
 
-def sorkin_violation(s: SorkinScenario):
+def sorkin_violation(s: SorkinScenario, passes: DefectPasses | None = None):
     """Preparation difference of the scenario; zero means no signalling seen.
 
-    ``tr(rho Phi_prep(E)) - tr(rho E)`` with ``E = Phi_int(1 (x) O_R)``.  The
-    intervention's rows are put in (receiver, sender) order, so that ``O_R``
-    acts by one matmul, and its columns in (sender, receiver) order, so that
-    ``E`` has its sender legs first; the preparation's factors ``P_j`` then
-    act on the sender legs of ``rho`` and ``E`` alone, as ``sum_j tr((P_j (x)
-    1) rho (P_j^+ (x) 1) E)``.  Each member is computed by its own BLAS calls,
-    so a stack gives its members' single results bit for bit.
+    ``tr(rho Phi_prep(E)) - tr(rho E)`` with ``E = Phi_int(1 (x) O_R)``, by
+    :func:`_preparation_difference` from ``E`` with its legs in (sender,
+    receiver) order.  ``E`` comes from the intervention's Kraus family (see
+    :func:`_kraus_image`), unless ``passes``, the :class:`DefectPasses` of the
+    intervention over directions that include the scenario's, has the
+    direction's off-block images: then it is their ``O_R``-weighted sum.  The
+    two agree within rounding, 1e-12 relative to ``max(1, |difference|)``.
+    Each member is computed by its own BLAS calls, or as its own row of one
+    product that has two rows or more, so a stack gives its members' single
+    results bit for bit.
 
     A float for one scenario, an array of one difference per member for a
     stack.
     """
     lead = s.rho.shape[:-2]
-    dims = s.intervention.dims
-    d = dims.total
+    d = s.intervention.dims.total
     rho = s.rho.reshape(-1, d, d)
-    ks = s.intervention.kraus
-    step = max(1, _KRAUS_ENTRIES // d**2)
     out = np.empty(len(rho))
     one = isinstance(s.partition, Bipartition)
     preps, observables = ([s.prep], [s.observable]) if one else (s.prep, s.observable)
-    for (part, members), prep, obs in zip(_direction_runs(s.partition), preps, observables):
-        d_s, d_r = part.left_dim, part.right_dim
-        legs = part.left + part.right
-        # rows (receiver, Kraus index, sender), columns (sender, receiver)
-        kraus = _in_order(ks, legs, dims).reshape(-1, d_s, d_r, d).transpose(2, 0, 1, 3)
+    runs = _direction_runs(s.partition)
+    if passes is not None:
+        index = passes.indices(s.intervention, [part for part, _ in runs])
+    for i, ((part, members), prep, obs) in enumerate(zip(runs, preps, observables)):
         r = rho[members]
-        m = len(r)
-        o = obs.reshape(m, d_r, d_r)
-        # sum_i K_i^+ (1 (x) O_R) K_i, a block of Kraus operators at a time
-        evolved = 0
-        for i in range(0, len(ks), step):
-            b = kraus[:, i : i + step].reshape(d_r, -1)
-            ob = (o @ b).reshape(m, -1, d)
-            evolved = evolved + b.reshape(-1, d).conj().T @ ob
-        # the state with its legs in (sender, receiver) order, as evolved
-        r = _in_order(r, legs, dims).reshape(m, d_s, d_r * d)
-        p = prep.kraus.reshape(m, -1, d_s, d_s)
-        prepared = (p.reshape(m, -1, d_s) @ r).reshape(m, -1, d, d)
-        p_dag = p.conj().swapaxes(-1, -2).reshape(m, -1, d_s)
-        kicked = (p_dag @ evolved.reshape(m, d_s, d_r * d)).reshape(m, -1, d, d)
-        with_prep = (prepared * kicked.swapaxes(-1, -2)).reshape(m, -1).sum(-1)
-        without = (r.reshape(m, d, d) * evolved.swapaxes(-1, -2)).reshape(m, -1).sum(-1)
-        out[members] = (with_prep - without).real
+        o = obs.reshape(len(r), part.right_dim, part.right_dim)
+        e = None if passes is None else passes.image(index[i], o, index[i:])
+        if e is None:
+            e = _kraus_image(s.intervention.kraus, o, part)
+        out[members] = _preparation_difference(r, prep, e, part)
     diff = out.reshape(lead)
     return float(diff) if diff.ndim == 0 else diff
+
+
+def _kraus_image(ks, obs, part: Bipartition) -> np.ndarray:
+    """``Phi(1 (x) O_R)`` of each observable of an ``(m, d_R, d_R)`` stack,
+    with its legs in (sender, receiver) order, from the ``k`` Kraus operators
+    ``ks``: about ``k D^2 (d_R + D)`` multiply-adds a member.
+
+    The family's rows are put in (receiver, sender) order, so that ``O_R``
+    acts by one matmul, and its columns in (sender, receiver) order.
+    """
+    dims = part.dims
+    d, m = dims.total, len(obs)
+    d_s, d_r = part.left_dim, part.right_dim
+    # rows (receiver, Kraus index, sender), columns (sender, receiver)
+    legs = part.left + part.right
+    kraus = _in_order(ks, legs, dims).reshape(-1, d_s, d_r, d).transpose(2, 0, 1, 3)
+    step = max(1, _KRAUS_ENTRIES // d**2)
+    # sum_i K_i^+ (1 (x) O_R) K_i, a block of Kraus operators at a time
+    evolved = 0
+    for i in range(0, len(ks), step):
+        b = kraus[:, i : i + step].reshape(d_r, -1)
+        ob = (obs @ b).reshape(m, -1, d)
+        evolved = evolved + b.reshape(-1, d).conj().T @ ob
+    return evolved
+
+
+def _preparation_difference(rho, prep: KrausChannel, e, part: Bipartition) -> np.ndarray:
+    """``tr(rho Phi_prep(E)) - tr(rho E)`` of each member of a run of one
+    direction: the tail shared by both ways of forming ``E``.
+
+    ``rho`` is the run's ``(m, D, D)`` states, ``prep`` its ``(m, k, d_S,
+    d_S)`` preparations and ``e`` its ``(m, D, D)`` images ``E``, legs in
+    (sender, receiver) order.  The preparation's factors ``P_j`` act on the
+    sender legs of ``rho`` and ``E`` alone, as ``sum_j tr((P_j (x) 1) rho
+    (P_j^+ (x) 1) E)``.  A unital preparation fixes every ``1_S (x) Y``, so
+    the difference depends only on the part of ``E`` off the receiver
+    algebra, and ``E`` may be that part alone.
+    """
+    dims = part.dims
+    d, m = dims.total, len(rho)
+    d_s, d_r = part.left_dim, part.right_dim
+    # the states with their legs in (sender, receiver) order, as E
+    r = _in_order(rho, part.left + part.right, dims).reshape(m, d_s, d_r * d)
+    p = prep.kraus.reshape(m, -1, d_s, d_s)
+    prepared = (p.reshape(m, -1, d_s) @ r).reshape(m, -1, d, d)
+    p_dag = p.conj().swapaxes(-1, -2).reshape(m, -1, d_s)
+    kicked = (p_dag @ e.reshape(m, d_s, d_r * d)).reshape(m, -1, d, d)
+    with_prep = (prepared * kicked.swapaxes(-1, -2)).reshape(m, -1).sum(-1)
+    without = (r.reshape(m, d, d) * e.swapaxes(-1, -2)).reshape(m, -1).sum(-1)
+    return (with_prep - without).real
 
 
 @dataclass
@@ -316,7 +353,7 @@ def semicausal_defect(c: KrausChannel, part: Bipartition) -> SignallingReport:
     return semicausal_defects(c, [part])[0]
 
 
-#: Entries held at once by :func:`semicausal_defects`: a stacked pass takes
+#: Entries held at once by a defect pass: a stacked pass takes
 #: ``max(1, _DEFECT_ENTRIES // max((d_R D)**2, k D**2))`` directions of one
 #: shape, so its images and its ``k``-Kraus families each take 16 MiB, or one
 #: direction's where that is more.
@@ -337,43 +374,138 @@ def semicausal_defects(c: KrausChannel, parts) -> list[SignallingReport]:
     Kraus operator's legs in (sender, receiver) order the family is a
     ``(k d_S, d_R D)`` matrix ``A``, and ``Phi(1 (x) E_rr')`` is the slice
     ``[r, :, r', :]`` of ``A^+ A``, with its legs in (sender, receiver) order
-    too.  The strength is the square root of the top eigenvalue of the map's
-    ``(d_R^2, d_R^2)`` Gram, from ``np.linalg.eigvalsh``; no eigenvector is
-    computed here.  The map commutes with the adjoint, so the gains of the
-    Hermitian parts of ``X = H1 + i H2`` add, and the larger part of a top
-    eigenvector is the witness: a maximizing unit-norm Hermitian receiver
-    observable, computed with ``np.linalg.eigh`` of the Gram only when
-    :attr:`SignallingReport.witness` is read.  A strength within a caller's
-    tolerance of zero certifies no signalling sender -> receiver.
+    too.  Its off-block part, taken in place, is the direction's image of
+    ``E_rr'``.  The strength is the square root of the top eigenvalue of the
+    map's ``(d_R^2, d_R^2)`` Gram of these images, from
+    ``np.linalg.eigvalsh``; no eigenvector is computed here.  The map
+    commutes with the adjoint, so the gains of the Hermitian parts of ``X =
+    H1 + i H2`` add, and the larger part of a top eigenvector is the witness:
+    a maximizing unit-norm Hermitian receiver observable, computed with
+    ``np.linalg.eigh`` of the Gram only when :attr:`SignallingReport.witness`
+    is read.  A strength within a caller's tolerance of zero certifies no
+    signalling sender -> receiver.
 
-    Directions of equal ``(d_S, d_R)`` share stacked passes of at most
-    :data:`_DEFECT_ENTRIES` image entries and as many Kraus family entries.
-    The off-block part is taken in place, on the image legs in (sender,
-    receiver) order.  A pass runs the same BLAS and LAPACK calls per
-    direction as a pass of one, so every report equals that of its direction
-    alone.  The reports are in the order of ``parts``.
+    The directions share the stacked passes of one :class:`DefectPasses`,
+    and a repeated direction is computed once.  The reports are in the order
+    of ``parts``.
     """
     parts = list(parts)
-    if any(p.dims != c.dims for p in parts):
-        raise ValueError("channel dims do not match the partition")
-    c.single()  # one channel
-    d, strengths = c.dims.total, [0.0] * len(parts)
-    for members in _by_shape(parts):
-        d_r = parts[members[0]].right_dim
-        step = max(1, _DEFECT_ENTRIES // max((d_r * d) ** 2, c.nkraus * d * d))
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            grams = _defect_grams(c, [parts[i] for i in chunk])
-            for i, top in zip(chunk, np.linalg.eigvalsh(grams)[:, -1]):
-                strengths[i] = float(np.sqrt(abs(top)))  # a zero Gram may give -0.0
-            del grams  # before the next pass: up to 16 MiB a direction at D = 64
-    return [SignallingReport((p.left, p.right), s, c) for p, s in zip(parts, strengths)]
+    passes = DefectPasses(c, parts)
+    strengths = dict(zip(passes.parts, passes.strengths()))
+    return [SignallingReport((p.left, p.right), strengths[p], c) for p in parts]
 
 
-def _defect_grams(c: KrausChannel, parts) -> np.ndarray:
-    """The ``(m, d_R^2, d_R^2)`` Grams of the defect maps of ``m`` directions
-    of one ``(d_S, d_R)`` shape, from one stacked pass; see
-    :func:`semicausal_defects`."""
+def _reads_images(c: KrausChannel, part: Bipartition) -> bool:
+    """The contraction rule.  From the direction's ``d_R^2`` off-block images
+    a member's ``Phi(1 (x) O_R)`` takes ``d_R^2 D^2`` multiply-adds, from the
+    ``k`` Kraus operators ``k D^2 (d_R + D)``; the images are read unless
+    they take more."""
+    d_r = part.right_dim
+    return d_r * d_r <= c.nkraus * (d_r + c.dims.total)
+
+
+class DefectPasses:
+    """The defect passes of one channel over distinct directions, each run
+    when first needed, and the images they leave for Sorkin scenarios.
+
+    ``parts`` are the directions (a repeat counts once) and ``members`` the
+    number of scenario members :func:`sorkin_violation` will test in each.
+    A pass stacks directions of one ``(d_S, d_R)`` shape, at most
+    :data:`_DEFECT_ENTRIES` image entries and as many Kraus family entries,
+    or one direction where that alone is more.  It runs the same BLAS and
+    LAPACK calls per direction as a pass of one, so a strength does not
+    depend on what its direction was stacked with.
+
+    A stack of scenarios that reaches a direction whose pass has not run
+    runs it, stacked with the next directions of its shape in that stack.
+    Where :func:`_reads_images` says so, the pass keeps its directions'
+    ``(d_R^2, D^2)`` off-block images (see :func:`semicausal_defects`) for
+    their members, and a direction's images go with its last member.  So
+    images are held for the directions of the stack under test, and for at
+    most one direction that continues from the stack before; memory grows
+    neither with ``members`` nor with the number of directions.
+    """
+
+    def __init__(self, c: KrausChannel, parts, members: int = 0):
+        self.parts = list(dict.fromkeys(parts))
+        if any(p.dims != c.dims for p in self.parts):
+            raise ValueError("channel dims do not match the partition")
+        c.single()  # one channel
+        self.channel = c
+        self._index = {p: j for j, p in enumerate(self.parts)}
+        self._shape = [(p.left_dim, p.right_dim) for p in self.parts]
+        n = len(self.parts)
+        self._strength = [None] * n
+        self._images = [None] * n
+        self._left = [members] * n  # members not yet tested
+
+    def strengths(self) -> list[float]:
+        """The strength of each direction, in the order of ``parts``; the
+        passes not yet run run now, keeping no images."""
+        for j, strength in enumerate(self._strength):
+            if strength is None:
+                self._run_pass(range(j, len(self.parts)), keep=False)
+        return list(self._strength)
+
+    def indices(self, c: KrausChannel, parts) -> list[int]:
+        """The index in ``parts`` of each direction of a stack of scenarios of
+        ``c``; refuses another channel, or a direction not in ``parts``."""
+        if c is not self.channel:
+            raise ValueError("the scenarios test another channel than the passes")
+        try:
+            return [self._index[p] for p in parts]
+        except KeyError:
+            raise ValueError("a scenario's direction is not one of the passes'") from None
+
+    def image(self, j: int, obs, ahead) -> np.ndarray | None:
+        """``Phi(1 (x) O_R)``, off-block part, of each observable of an ``(m,
+        d_R, d_R)`` stack of direction ``j``, from its images; ``None`` where
+        the Kraus family is cheaper.  Counts the ``m`` members as tested.
+
+        A direction whose pass has not run runs it first, stacked with the
+        next directions of its shape among ``ahead``, the indices of the
+        runs from this one to the end of the stack.
+        """
+        if self._strength[j] is None:
+            self._run_pass(ahead, keep=True)
+        m = len(obs)
+        self._left[j] -= m
+        x = self._images[j]
+        if self._left[j] <= 0:
+            self._images[j] = None
+        if x is None:
+            return None
+        # numpy hands a product of one row to gemv, which rounds otherwise
+        # than gemm; a lone member is taken twice, so that every member is a
+        # gemm row, and its bits do not depend on the stack around it
+        o = obs.reshape(m, -1)
+        rows = o if m > 1 else np.concatenate([o, o])
+        d = self.channel.dims.total
+        return (rows @ x)[:m].reshape(m, d, d)
+
+    def _run_pass(self, ahead, keep: bool):
+        """One stacked pass: the first of the directions ``ahead`` whose pass
+        has not run, with the next ones of its shape up to the pass's size."""
+        pending = [j for j in dict.fromkeys(ahead) if self._strength[j] is None]
+        shape = self._shape[pending[0]]
+        chunk = [j for j in pending if self._shape[j] == shape]
+        c, d = self.channel, self.channel.dims.total
+        size = _DEFECT_ENTRIES // max((shape[1] * d) ** 2, c.nkraus * d * d)
+        chunk = chunk[: max(1, size)]
+        x = _defect_images(c, [self.parts[j] for j in chunk])
+        for j, top in zip(chunk, np.linalg.eigvalsh(_gram(x))[:, -1]):
+            self._strength[j] = float(np.sqrt(abs(top)))  # a zero Gram may give -0.0
+        if keep and _reads_images(c, self.parts[chunk[0]]):
+            for j, xj in zip(chunk, x):
+                if self._left[j] > 0:
+                    self._images[j] = xj
+
+
+def _defect_images(c: KrausChannel, parts) -> np.ndarray:
+    """The ``(m, d_R^2, D^2)`` off-block images of ``m`` directions of one
+    ``(d_S, d_R)`` shape, from one stacked pass: ``[j, r d_R + r']`` holds
+    ``Phi(1 (x) E_rr') - 1 (x) tr_S[Phi(1 (x) E_rr')] / d_S`` with its legs
+    in (sender, receiver) order; see :func:`semicausal_defects`."""
     d = c.dims.total
     m, d_s, d_r = len(parts), parts[0].left_dim, parts[0].right_dim
     # each family with rows (Kraus, sender, receiver) and columns (sender,
@@ -383,12 +515,26 @@ def _defect_grams(c: KrausChannel, parts) -> np.ndarray:
         legs = _legs_in_order(c.kraus, p.left + p.right, c.dims)
         a[j].reshape(legs.shape)[...] = legs
     a = a.reshape(m, -1, d_r * d)
-    images = (a.conj().swapaxes(-1, -2) @ a).reshape(m, d_r, d, d_r, d)
-    # Phi(1 (x) E_rr') at [:, r, r'], then its off-block part
-    x = _off_block(images.swapaxes(2, 3).copy(), d_s)
-    del images  # at D = 64 each of the two takes up to 64 MiB a direction
-    x = x.reshape(m, d_r * d_r, d * d)
+    images = a.conj().swapaxes(-1, -2) @ a
+    del a
+    # Phi(1 (x) E_rr') at [:, r, r'], moved there in place one receiver row
+    # at a time (each move copies only its row), then its off-block part
+    rows = images.reshape(m, d_r, d, d_r, d)
+    x = images.reshape(m, d_r, d_r, d, d)
+    for r in range(d_r):
+        x[:, r] = rows[:, r].swapaxes(1, 2)
+    return _off_block(x, d_s).reshape(m, d_r * d_r, d * d)
+
+
+def _gram(x) -> np.ndarray:
+    """The ``(m, d_R^2, d_R^2)`` Grams of the defect maps of ``m`` directions
+    from their images, one product per direction."""
     return x.conj() @ x.swapaxes(-1, -2)
+
+
+def _defect_grams(c: KrausChannel, parts) -> np.ndarray:
+    """The Grams of ``m`` directions of one shape from one stacked pass."""
+    return _gram(_defect_images(c, parts))
 
 
 def operator_schmidt_values(u, part: Bipartition) -> np.ndarray:

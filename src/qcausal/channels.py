@@ -170,14 +170,15 @@ def depolarizing_channel(dims: SystemDims, lam: float) -> KrausChannel:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {lam}")
     d = dims.total
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    eye = np.eye(d, dtype=complex)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    shifts = [np.linalg.matrix_power(shift, a) for a in range(d)]
-    clocks = [np.linalg.matrix_power(clock, b) for b in range(d)]
-    kraus = [np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=complex)]
-    w = lam / d**2
-    # [1:] drops S^0 C^0, the identity, which leads the family already
-    kraus += [np.sqrt(w) * s @ c for s in shifts for c in clocks][1:]
+    clocks = np.array([np.linalg.matrix_power(clock, b) for b in range(d)])
+    # sqrt(w) S^a for the cyclic shift S, one matrix product per (a, b) pair
+    # as before, all in one call: each keeps its bits, signed zeros included
+    shifts = np.sqrt(lam / d**2) * np.array([np.roll(eye, a, axis=0) for a in range(d)])
+    kraus = (shifts[:, None] @ clocks).reshape(d * d, d, d)
+    # S^0 C^0, the identity, also carries the unchanged part
+    kraus[0] = np.sqrt(1.0 - lam + lam / d**2) * eye
     return KrausChannel(kraus, dims)
 
 

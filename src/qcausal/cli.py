@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -36,10 +37,10 @@ import numpy as np
 
 from . import __version__
 from .causality import (
+    DefectPasses,
     nearest_product_unitaries,
     operator_schmidt_values,
     perturbation_probe,
-    semicausal_defects,
     sorkin_violation,
 )
 from .channels import KrausChannel, from_unitary, zoo
@@ -334,6 +335,25 @@ def _overwrite(path: Path, data: bytes | memoryview):
 _escape = json.encoder.encode_basestring_ascii  # what json.dumps calls
 # one line of JSON, by CPython's C encoder (any indent runs the Python one)
 _line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+_NON_FINITE = "the report would hold a non-finite number"
+
+
+def _finite(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(_NON_FINITE)
+    return float.__repr__(x)
+
+
+#: How the C encoder writes a leaf of exactly one of these types, without
+#: the cost of starting it (a subclass such as ``np.float64`` still goes
+#: through ``_line``).
+_LEAVES = {
+    float: _finite,
+    int: int.__repr__,
+    str: _escape,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 def _encode(v, nl: str) -> str:
@@ -345,6 +365,9 @@ def _encode(v, nl: str) -> str:
     ``ValueError``; a type that ``json.dumps`` refuses, or a key of a dict
     over lines that is not a string, raises ``TypeError``.
     """
+    leaf = _LEAVES.get(type(v))
+    if leaf is not None:
+        return leaf(v)
     inner = nl + "  "
     if isinstance(v, dict) and v:
         # _escape raises TypeError on a key that is not a string
@@ -357,7 +380,7 @@ def _encode(v, nl: str) -> str:
     except ValueError as exc:
         if not str(exc).startswith("Out of range float"):
             raise
-        raise ValueError("the report would hold a non-finite number") from None
+        raise ValueError(_NON_FINITE) from None
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +397,19 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
 
     parts = all_bipartitions(dims)
     directions = [oriented for part in parts for oriented in (part, part.swapped())]
-    strengths = [rep.strength for rep in semicausal_defects(channel, directions)]
+    # n_scenarios members per direction, in the order of single draws, one
+    # stack per block of members across directions; each direction's defect
+    # pass runs when a stack first reaches it
+    passes = DefectPasses(channel, directions, n_scenarios)
+    sorkin_max = 0.0
+    members = len(directions) * n_scenarios
+    for start in range(0, members, SCENARIO_BLOCK):
+        block = range(start, min(start + SCENARIO_BLOCK, members))
+        s = random_sorkin_scenario(
+            [directions[i // n_scenarios] for i in block], channel, rng
+        )
+        sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s, passes)).max()))
+    strengths = passes.strengths()
     defects = []
     one_way = []
     schmidt = {}
@@ -387,16 +422,6 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
         if channel.nkraus == 1:
             values = operator_schmidt_values(channel.kraus[0], part)
             schmidt["-".join(map(str, part.left))] = values.tolist()
-    # n_scenarios members per direction, in the order of single draws, one
-    # stack per block of members across directions
-    sorkin_max = 0.0
-    members = len(directions) * n_scenarios
-    for start in range(0, members, SCENARIO_BLOCK):
-        block = range(start, min(start + SCENARIO_BLOCK, members))
-        s = random_sorkin_scenario(
-            [directions[i // n_scenarios] for i in block], channel, rng
-        )
-        sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s)).max()))
     defect_causal = all(s <= tol for s in strengths)
     sorkin_causal = sorkin_max <= tol
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -113,11 +114,11 @@ class Bipartition:
         left = _site_indices(left)
         return cls(dims, left, tuple(s for s in range(dims.nsites) if s not in left))
 
-    @property
+    @cached_property
     def left_dim(self) -> int:
         return self.dims.block_dim(self.left)
 
-    @property
+    @cached_property
     def right_dim(self) -> int:
         return self.dims.block_dim(self.right)
 

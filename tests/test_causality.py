@@ -9,6 +9,7 @@ import pytest
 
 from qcausal import causality, channels, cli, sampling, tensor
 from qcausal.causality import (
+    DefectPasses,
     PerturbationRow,
     ProductApproximation,
     SorkinScenario,
@@ -996,6 +997,180 @@ class TestDefectPasses:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             semicausal_defects(identity_channel(SystemDims((2, 3))), [QUBIT_PAIR])
+
+
+def _image_channels(dims):
+    g = RngStream(53).generator()
+    return {
+        "haar": from_unitary(haar_unitary(dims.total, g), dims),
+        "kraus": random_kraus_channel(dims, 3, g),
+        "depolarizing": depolarizing_channel(dims, 0.37),
+    }
+
+
+def _kraus_is_cheaper(c, part):
+    """The contraction rule, restated: d_R^2 > k (d_R + D)."""
+    d_r = part.right_dim
+    return d_r * d_r > c.nkraus * (d_r + c.dims.total)
+
+
+_IMAGE_DIMS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (4, 4)]
+
+
+class TestSorkinFromImages:
+    """A member's Phi(1 (x) O_R) read from its direction's defect images
+    against the Kraus contraction of ``sorkin_violation``."""
+
+    @pytest.mark.parametrize("dims", _IMAGE_DIMS, ids=_dims_id)
+    @pytest.mark.parametrize("kind", ["haar", "kraus", "depolarizing"])
+    def test_images_equal_the_kraus_path(self, dims, kind):
+        dims = SystemDims(dims)
+        c = _image_channels(dims)[kind]
+        directions = _directions(dims)
+        n = 3
+        passes = DefectPasses(c, directions, n)
+        stack = [p for p in directions for _ in range(n)]
+        s = random_sorkin_scenario(stack, c, RngStream(54))
+        got = sorkin_violation(s, passes)
+        want = sorkin_violation(s)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert np.abs(want).max() > 1e-3 or kind == "depolarizing"
+        # each strength is that of a pass of its direction alone, bit for bit
+        assert passes.strengths() == [semicausal_defect(c, p).strength for p in directions]
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 3, 2)], ids=_dims_id)
+    @pytest.mark.parametrize("kind", ["haar", "kraus"])
+    def test_images_are_the_off_block_part(self, dims, kind):
+        # the Sorkin value cannot tell: a unital preparation fixes 1_S (x) Y
+        dims = SystemDims(dims)
+        c = _image_channels(dims)[kind]
+        g = RngStream(63).generator()
+        for part in _directions(dims):
+            if _kraus_is_cheaper(c, part):
+                continue
+            d_r = part.right_dim
+            obs = g.normal(size=(2, d_r, d_r)) + 1j * g.normal(size=(2, d_r, d_r))
+            obs = obs + obs.conj().swapaxes(-1, -2)
+            got = DefectPasses(c, [part], 2).image(0, obs, [0])
+            full = causality._kraus_image(c.kraus, obs, part)
+            want = causality._off_block(full.copy(), part.left_dim)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(full).max())
+            assert np.abs(full - want).max() > 1e-3  # the in-block part is not zero
+
+    def test_both_sides_of_the_rule_are_covered(self):
+        sides = set()
+        for dims in map(SystemDims, _IMAGE_DIMS):
+            for c in _image_channels(dims).values():
+                sides |= {_kraus_is_cheaper(c, p) for p in _directions(dims)}
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (4, 4)], ids=_dims_id)
+    @pytest.mark.parametrize("kind", ["haar", "kraus", "depolarizing"])
+    def test_the_rule_picks_the_path(self, dims, kind, monkeypatch):
+        dims = SystemDims(dims)
+        c = _image_channels(dims)[kind]
+        directions = _directions(dims)
+        by_kraus = []
+        kraus_image = causality._kraus_image
+
+        def spy(ks, obs, part):
+            by_kraus.append(part)
+            return kraus_image(ks, obs, part)
+
+        monkeypatch.setattr(causality, "_kraus_image", spy)
+        passes = DefectPasses(c, directions, 2)
+        s = random_sorkin_scenario([p for p in directions for _ in range(2)], c, RngStream(55))
+        sorkin_violation(s, passes)
+        assert by_kraus == [p for p in directions if _kraus_is_cheaper(c, p)]
+
+    def test_a_stack_gives_each_member_alone(self):
+        # a lone member is still a row of a product of two or more rows
+        dims = SystemDims((2, 3, 2))
+        c = _image_channels(dims)["kraus"]
+        directions = _directions(dims)
+        stack = [p for p in directions for _ in range(3)]
+        s = random_sorkin_scenario(stack, c, RngStream(56))
+        together = sorkin_violation(s, DefectPasses(c, directions, 3))
+        alone = DefectPasses(c, directions, 3)
+        g = RngStream(56).generator()
+        for j, p in enumerate(stack):
+            one = random_sorkin_scenario(p, c, g)
+            assert sorkin_violation(one, alone) == together[j]
+
+    def test_images_go_with_the_last_member(self):
+        dims = SystemDims((2, 2, 2))
+        c = _image_channels(dims)["kraus"]
+        directions = _directions(dims)
+        passes = DefectPasses(c, directions, 4)
+        g = RngStream(57).generator()
+        first = random_sorkin_scenario([directions[0]] * 3, c, g)
+        sorkin_violation(first, passes)
+        held = [x is not None for x in passes._images]
+        assert held == [True] + [False] * (len(directions) - 1)
+        sorkin_violation(random_sorkin_scenario([directions[0]], c, g), passes)
+        assert all(x is None for x in passes._images)
+        # a direction the stacks have not reached has not run its pass
+        ran = [s is not None for s in passes._strength]
+        assert ran == [True] + [False] * (len(directions) - 1)
+
+    def test_refuses_other_channels_and_directions(self):
+        dims = SystemDims((2, 3))
+        c = _image_channels(dims)["kraus"]
+        part = _directions(dims)[0]
+        s = random_sorkin_scenario(part, c, RngStream(58))
+        with pytest.raises(ValueError, match="another channel"):
+            sorkin_violation(s, DefectPasses(random_kraus_channel(dims, 3, RngStream(59)), [part]))
+        with pytest.raises(ValueError, match="not one of"):
+            sorkin_violation(s, DefectPasses(c, [part.swapped()]))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=_dims_id)
+def test_check_causal_report_does_not_depend_on_the_block(dims, monkeypatch, tmp_path):
+    dims = SystemDims(dims)
+    c = _image_channels(dims)["kraus"]
+    cfg = cli.ExperimentConfig.from_dict({
+        "experiment": "check-causal", "seed": 62, "dims": list(dims.dims),
+        "n_scenarios": 5, "channel": c.to_json(),
+    })
+    results = []
+    for block in (1, 3, 32):
+        monkeypatch.setattr(cli, "SCENARIO_BLOCK", block)
+        results.append(cli._run_check_causal(cfg, tmp_path))
+    assert results[0] == results[1] == results[2]
+
+
+def test_check_causal_keeps_at_most_a_pass_of_images():
+    """A 16-Kraus (2,)*5 channel reads every member from images.  Its traced
+    peak stays within that of its defect passes alone plus the largest pass's
+    images; holding every direction's images would add their sum."""
+    dims = SystemDims((2,) * 5)
+    c = random_kraus_channel(dims, 16, RngStream(60))
+    cfg = cli.ExperimentConfig.from_dict({
+        "experiment": "check-causal", "seed": 61, "dims": list(dims.dims),
+        "n_scenarios": 2, "channel": c.to_json(),
+    })
+    directions = _directions(dims)
+    assert not any(_kraus_is_cheaper(c, p) for p in directions)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    passes = peak(lambda: semicausal_defects(c, directions))
+    checked = peak(lambda: cli._run_check_causal(cfg, None))
+    d = dims.total
+    image_bytes = [16 * (p.right_dim * d) ** 2 for p in directions]
+    largest_pass = max(
+        min(n, max(1, causality._DEFECT_ENTRIES // max((d_r * d) ** 2, 16 * d * d)))
+        * 16 * (d_r * d) ** 2
+        for d_r, n in ((d_r, sum(p.right_dim == d_r for p in directions)) for d_r in (2, 4, 8, 16))
+    )
+    assert checked <= passes + largest_pass
+    assert sum(image_bytes) > largest_pass
 
 
 class TestOperatorSchmidt:

@@ -639,6 +639,54 @@ class TestReportWriter:
             cli._encode(v, "\n")
 
 
+class TestReportLeaves:
+    """Leaves of exactly float, int, bool, None or str are written without
+    the C encoder, and byte for byte as it writes them."""
+
+    @pytest.mark.parametrize(
+        "v",
+        [True, False, 0, 1, -7, 2**70, None, 0.0, -0.0, 0.1, 1e300, 5e-324, -2.5,
+         "", "plain", "é", "ü \n\t\"\\", "\U0001f600", "\x00"],
+        ids=repr,
+    )
+    def test_leaf_is_the_encoders(self, v):
+        one = json.dumps(v)
+        assert cli._encode(v, "\n") == cli._line(v) == one
+        table = {"k": v, "t": [{"v": v}]}
+        text = cli._encode(table, "\n")
+        assert text == f'{{\n  "k": {one},\n  "t": [\n    {{\n      "v": {one}\n    }}\n  ]\n}}'
+        assert_report_layout(text, table)
+
+    def test_bool_is_not_an_int(self):
+        assert cli._encode([True, 1, False, 0], "\n") == "[true, 1, false, 0]"
+        assert cli._encode({"a": True, "b": 1}, "\n") == '{\n  "a": true,\n  "b": 1\n}'
+
+    def test_float_subclass_goes_through_the_encoder(self, monkeypatch):
+        seen = []
+        line = cli._line
+
+        def spy(v):
+            seen.append(v)
+            return line(v)
+
+        monkeypatch.setattr(cli, "_line", spy)
+        assert cli._encode(np.float64(0.1), "\n") == "0.1"
+        assert cli._encode(0.1, "\n") == "0.1"
+        assert [type(v) for v in seen] == [np.float64]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_non_finite_leaf_raises_as_before(self, bad):
+        for v in (bad, {"a": bad}, {"a": {"b": [1.0, bad]}}, np.float64(bad)):
+            with pytest.raises(ValueError, match="^the report would hold a non-finite number$"):
+                cli._encode(v, "\n")
+
+    def test_non_ascii_is_escaped(self):
+        text = cli._encode({"name": "Schrödinger ψ \U0001f600"}, "\n")
+        assert text.isascii()
+        assert text == '{\n  "name": "Schr\\u00f6dinger \\u03c8 \\ud83d\\ude00"\n}'
+        assert json.loads(text) == {"name": "Schrödinger ψ \U0001f600"}
+
+
 class TestCsv:
     def test_float_cells_roundtrip_exactly(self, tmp_path):
         cfg = _write(tmp_path, "c.json", _haar_cfg(n_samples=6))
