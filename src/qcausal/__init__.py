@@ -11,7 +11,6 @@ separations are exact.
 __version__ = "0.1.0"
 
 from .causality import (
-    DefectPasses,
     PerturbationRow,
     ProductApproximation,
     SignallingReport,

@@ -233,9 +233,8 @@ def sorkin_violation(s: SorkinScenario, passes: DefectPasses | None = None):
     intervention over directions that include the scenario's, has the
     direction's off-block images: then it is their ``O_R``-weighted sum.  The
     two agree within rounding, 1e-12 relative to ``max(1, |difference|)``.
-    Each member is computed by its own BLAS calls, or as its own row of one
-    product that has two rows or more, so a stack gives its members' single
-    results bit for bit.
+    Each member is computed by its own BLAS calls, so a stack gives its
+    members' single results bit for bit.
 
     A float for one scenario, an array of one difference per member for a
     stack.
@@ -475,13 +474,10 @@ class DefectPasses:
             self._images[j] = None
         if x is None:
             return None
-        # numpy hands a product of one row to gemv, which rounds otherwise
-        # than gemm; a lone member is taken twice, so that every member is a
-        # gemm row, and its bits do not depend on the stack around it
-        o = obs.reshape(m, -1)
-        rows = o if m > 1 else np.concatenate([o, o])
+        # one product of one shape per member, so that its bits cannot depend
+        # on the stack around it
         d = self.channel.dims.total
-        return (rows @ x)[:m].reshape(m, d, d)
+        return (obs.reshape(m, 1, -1) @ x).reshape(m, d, d)
 
     def _run_pass(self, ahead, keep: bool):
         """One stacked pass: the first of the directions ``ahead`` whose pass

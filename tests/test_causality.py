@@ -1084,7 +1084,7 @@ class TestSorkinFromImages:
         assert by_kraus == [p for p in directions if _kraus_is_cheaper(c, p)]
 
     def test_a_stack_gives_each_member_alone(self):
-        # a lone member is still a row of a product of two or more rows
+        # each member is its own product of one shape, whatever the stack
         dims = SystemDims((2, 3, 2))
         c = _image_channels(dims)["kraus"]
         directions = _directions(dims)
