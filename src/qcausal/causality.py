@@ -223,38 +223,37 @@ def _same_stack(name: str, lead, got):
 _KRAUS_ENTRIES = 4096
 
 
-def sorkin_violation(s: SorkinScenario, passes: DefectPasses | None = None):
+def sorkin_violation(s: SorkinScenario):
     """Preparation difference of the scenario; zero means no signalling seen.
 
-    ``tr(rho Phi_prep(E)) - tr(rho E)`` with ``E = Phi_int(1 (x) O_R)``, by
-    :func:`_preparation_difference` from ``E`` with its legs in (sender,
-    receiver) order.  ``E`` comes from the intervention's Kraus family (see
-    :func:`_kraus_image`), unless ``passes``, the :class:`DefectPasses` of the
-    intervention over directions that include the scenario's, has the
-    direction's off-block images: then it is their ``O_R``-weighted sum.  The
-    two agree within rounding, 1e-12 relative to ``max(1, |difference|)``.
-    Each member is computed by its own BLAS calls, so a stack gives its
-    members' single results bit for bit.
+    ``tr(rho Phi_prep(E)) - tr(rho E)`` with ``E = Phi_int(1 (x) O_R)`` from
+    the intervention's Kraus family (see :func:`_kraus_image`), by
+    :func:`_preparation_difference`.  Each member is computed by its own BLAS
+    calls, so a stack gives its members' single results bit for bit.
 
     A float for one scenario, an array of one difference per member for a
     stack.
     """
+    ks = s.intervention.kraus
+    runs = _direction_runs(s.partition)
+    return _by_runs(s, runs, lambda i, part, obs: _kraus_image(ks, obs, part))
+
+
+def _by_runs(s: SorkinScenario, runs, image):
+    """The preparation difference of each member of ``s``, by its
+    :func:`_direction_runs` ``runs``, ``E`` of the ``i``-th run being
+    ``image(i, part, obs)`` of its ``(m, d_R, d_R)`` observables, legs in
+    (sender, receiver) order; shaped as :func:`sorkin_violation` returns it."""
     lead = s.rho.shape[:-2]
     d = s.intervention.dims.total
     rho = s.rho.reshape(-1, d, d)
     out = np.empty(len(rho))
     one = isinstance(s.partition, Bipartition)
     preps, observables = ([s.prep], [s.observable]) if one else (s.prep, s.observable)
-    runs = _direction_runs(s.partition)
-    if passes is not None:
-        index = passes.indices(s.intervention, [part for part, _ in runs])
     for i, ((part, members), prep, obs) in enumerate(zip(runs, preps, observables)):
         r = rho[members]
         o = obs.reshape(len(r), part.right_dim, part.right_dim)
-        e = None if passes is None else passes.image(index[i], o, index[i:])
-        if e is None:
-            e = _kraus_image(s.intervention.kraus, o, part)
-        out[members] = _preparation_difference(r, prep, e, part)
+        out[members] = _preparation_difference(r, prep, image(i, part, o), part)
     diff = out.reshape(lead)
     return float(diff) if diff.ndim == 0 else diff
 
@@ -404,97 +403,88 @@ def _reads_images(c: KrausChannel, part: Bipartition) -> bool:
 
 
 class DefectPasses:
-    """The defect passes of one channel over distinct directions, each run
-    when first needed, and the images they leave for Sorkin scenarios.
+    """The defect passes of one channel over distinct directions ``parts`` (a
+    repeat counts once), each run when first needed, and the images they
+    leave for the channel's Sorkin scenarios (see :meth:`violations`).
 
-    ``parts`` are the directions (a repeat counts once) and ``members`` the
-    number of scenario members :func:`sorkin_violation` will test in each.
     A pass stacks directions of one ``(d_S, d_R)`` shape, at most
     :data:`_DEFECT_ENTRIES` image entries and as many Kraus family entries,
     or one direction where that alone is more.  It runs the same BLAS and
     LAPACK calls per direction as a pass of one, so a strength does not
     depend on what its direction was stacked with.
-
-    A stack of scenarios that reaches a direction whose pass has not run
-    runs it, stacked with the next directions of its shape in that stack.
-    Where :func:`_reads_images` says so, the pass keeps its directions'
-    ``(d_R^2, D^2)`` off-block images (see :func:`semicausal_defects`) for
-    their members, and a direction's images go with its last member.  So
-    images are held for the directions of the stack under test, and for at
-    most one direction that continues from the stack before; memory grows
-    neither with ``members`` nor with the number of directions.
     """
 
-    def __init__(self, c: KrausChannel, parts, members: int = 0):
+    def __init__(self, c: KrausChannel, parts):
         self.parts = list(dict.fromkeys(parts))
         if any(p.dims != c.dims for p in self.parts):
             raise ValueError("channel dims do not match the partition")
         c.single()  # one channel
         self.channel = c
         self._index = {p: j for j, p in enumerate(self.parts)}
-        self._shape = [(p.left_dim, p.right_dim) for p in self.parts]
-        n = len(self.parts)
-        self._strength = [None] * n
-        self._images = [None] * n
-        self._left = [members] * n  # members not yet tested
+        self._strength = [None] * len(self.parts)
+        self._images = {}  # index of a direction -> its images, where kept
 
     def strengths(self) -> list[float]:
         """The strength of each direction, in the order of ``parts``; the
-        passes not yet run run now, keeping no images."""
+        passes not yet run run now, and no image outlives its pass."""
         for j, strength in enumerate(self._strength):
             if strength is None:
-                self._run_pass(range(j, len(self.parts)), keep=False)
+                self._run_pass(range(j, len(self.parts)))
+                self._images.clear()
         return list(self._strength)
 
-    def indices(self, c: KrausChannel, parts) -> list[int]:
-        """The index in ``parts`` of each direction of a stack of scenarios of
-        ``c``; refuses another channel, or a direction not in ``parts``."""
-        if c is not self.channel:
+    def violations(self, s: SorkinScenario):
+        """:func:`sorkin_violation` of a scenario, or a stack of them, of the
+        channel, whose directions are among ``parts``, within 1e-12 relative to
+        ``max(1, |difference|)``; refuses another channel or direction.
+
+        The stack is tested run of equal directions by run.  Before each run
+        the images of the directions the stack has left are dropped, so
+        images are held for the directions of one stack at most; a direction
+        whose pass has not run runs it, stacked with the next directions of
+        its shape in the stack.  Where
+        :func:`_reads_images` says so, the pass keeps its directions'
+        ``(d_R^2, D^2)`` off-block images (see :func:`semicausal_defects`),
+        and a member's ``Phi(1 (x) O_R)`` is their ``O_R``-weighted sum (the
+        off-block part suffices: see :func:`_preparation_difference`);
+        otherwise it comes from the Kraus family (see :func:`_kraus_image`).
+        """
+        if s.intervention is not self.channel:
             raise ValueError("the scenarios test another channel than the passes")
+        runs = _direction_runs(s.partition)
         try:
-            return [self._index[p] for p in parts]
+            index = [self._index[part] for part, _ in runs]
         except KeyError:
             raise ValueError("a scenario's direction is not one of the passes'") from None
-
-    def image(self, j: int, obs, ahead) -> np.ndarray | None:
-        """``Phi(1 (x) O_R)``, off-block part, of each observable of an ``(m,
-        d_R, d_R)`` stack of direction ``j``, from its images; ``None`` where
-        the Kraus family is cheaper.  Counts the ``m`` members as tested.
-
-        A direction whose pass has not run runs it first, stacked with the
-        next directions of its shape among ``ahead``, the indices of the
-        runs from this one to the end of the stack.
-        """
-        if self._strength[j] is None:
-            self._run_pass(ahead, keep=True)
-        m = len(obs)
-        self._left[j] -= m
-        x = self._images[j]
-        if self._left[j] <= 0:
-            self._images[j] = None
-        if x is None:
-            return None
-        # one product of one shape per member, so that its bits cannot depend
-        # on the stack around it
         d = self.channel.dims.total
-        return (obs.reshape(m, 1, -1) @ x).reshape(m, d, d)
 
-    def _run_pass(self, ahead, keep: bool):
+        def image(i, part, obs):
+            j, ahead = index[i], set(index[i:])
+            self._images = {k: x for k, x in self._images.items() if k in ahead}
+            if self._strength[j] is None:
+                self._run_pass(index[i:])
+            x = self._images.get(j)
+            if x is None:
+                return _kraus_image(self.channel.kraus, obs, part)
+            # one product of one shape per member, so that its bits cannot
+            # depend on the stack around it
+            return (obs.reshape(len(obs), 1, -1) @ x).reshape(len(obs), d, d)
+
+        return _by_runs(s, runs, image)
+
+    def _run_pass(self, ahead):
         """One stacked pass: the first of the directions ``ahead`` whose pass
         has not run, with the next ones of its shape up to the pass's size."""
         pending = [j for j in dict.fromkeys(ahead) if self._strength[j] is None]
-        shape = self._shape[pending[0]]
-        chunk = [j for j in pending if self._shape[j] == shape]
+        chunk = [pending[i] for i in _by_shape([self.parts[j] for j in pending])[0]]
         c, d = self.channel, self.channel.dims.total
-        size = _DEFECT_ENTRIES // max((shape[1] * d) ** 2, c.nkraus * d * d)
-        chunk = chunk[: max(1, size)]
+        d_r = self.parts[chunk[0]].right_dim
+        chunk = chunk[: max(1, _DEFECT_ENTRIES // max((d_r * d) ** 2, c.nkraus * d * d))]
         x = _defect_images(c, [self.parts[j] for j in chunk])
         for j, top in zip(chunk, np.linalg.eigvalsh(_gram(x))[:, -1]):
             self._strength[j] = float(np.sqrt(abs(top)))  # a zero Gram may give -0.0
-        if keep and _reads_images(c, self.parts[chunk[0]]):
-            for j, xj in zip(chunk, x):
-                if self._left[j] > 0:
-                    self._images[j] = xj
+        if _reads_images(c, self.parts[chunk[0]]):
+            self._images.update(zip(chunk, x))
 
 
 def _defect_images(c: KrausChannel, parts) -> np.ndarray:

@@ -41,7 +41,6 @@ from .causality import (
     nearest_product_unitaries,
     operator_schmidt_values,
     perturbation_probe,
-    sorkin_violation,
 )
 from .channels import KrausChannel, from_unitary, zoo
 from .lattice import (
@@ -400,7 +399,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
     # n_scenarios members per direction, in the order of single draws, one
     # stack per block of members across directions; each direction's defect
     # pass runs when a stack first reaches it
-    passes = DefectPasses(channel, directions, n_scenarios)
+    passes = DefectPasses(channel, directions)
     sorkin_max = 0.0
     members = len(directions) * n_scenarios
     for start in range(0, members, SCENARIO_BLOCK):
@@ -408,7 +407,7 @@ def _run_check_causal(cfg: ExperimentConfig, out_dir: Path):
         s = random_sorkin_scenario(
             [directions[i // n_scenarios] for i in block], channel, rng
         )
-        sorkin_max = max(sorkin_max, float(np.abs(sorkin_violation(s, passes)).max()))
+        sorkin_max = max(sorkin_max, float(np.abs(passes.violations(s)).max()))
     strengths = passes.strengths()
     defects = []
     one_way = []

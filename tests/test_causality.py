@@ -863,6 +863,75 @@ def test_defect_trace_is_the_schmidt_entangling_power(dims):
                 assert abs(trace - want) <= 1e-12 * want
 
 
+def _measure_and_prepare(dims, p):
+    """The channel with Kraus operators sqrt(p(y|x)) |y><x|, one per nonzero
+    entry of the ``(D, D)`` stochastic matrix ``p[x, y]``: sum K^+ K = 1."""
+    x, y = np.nonzero(p)
+    kraus = np.zeros((len(x), dims.total, dims.total))
+    kraus[np.arange(len(x)), y, x] = np.sqrt(p[x, y])
+    return KrausChannel(kraus, dims)
+
+
+def _measure_and_prepare_strength(dims, p, part):
+    """The exact strength of ``part.left`` -> ``part.right``: Phi(1 (x) O_R)
+    is diagonal, sum_{y_R} q(y_R|x) (O_R)_{y_R y_R} at x with q the receiver
+    marginal, so the defect map is O_R's diagonal |-> C O_R's diagonal, and
+    its gain the top singular value of the D x d_R matrix C[x, y_R] =
+    q(y_R|x) - (the mean of q(y_R|x) over x_S at fixed x_R)."""
+    sender = list(part.left)
+    q = p.reshape(dims.total, *dims.dims).sum(axis=tuple(1 + s for s in sender))
+    q = q.reshape(*dims.dims, part.right_dim)
+    c = q - q.mean(axis=tuple(sender), keepdims=True)
+    return np.linalg.svd(c.reshape(dims.total, -1), compute_uv=False)[0]
+
+
+_MEASURE_AND_PREPARE_DIMS = [(2, 3), (2, 2, 2), (3, 3), (2, 3, 2), (2, 2, 2, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("dims", _MEASURE_AND_PREPARE_DIMS, ids=_dims_id)
+def test_defects_of_measure_and_prepare_channels_are_the_exact_oracle(dims):
+    """A seeded stochastic p of fan-out 2, so 2 D Kraus operators: every
+    direction's strength is the SVD oracle of its receiver marginal."""
+    dims = SystemDims(dims)
+    d = dims.total
+    g = RngStream(65).generator()
+    p = np.zeros((d, d))
+    for x in range(d):
+        w = g.uniform(0.1, 1.0, size=2)
+        p[x, g.choice(d, size=2, replace=False)] = w / w.sum()
+    c = _measure_and_prepare(dims, p)
+    assert c.nkraus == 2 * d
+    directions = _directions(dims)
+    oracle = [_measure_and_prepare_strength(dims, p, part) for part in directions]
+    assert max(oracle) > 0.1
+    for rep, want in zip(semicausal_defects(c, directions), oracle, strict=True):
+        assert abs(rep.strength - want) <= 1e-12 * max(1.0, want)
+
+
+def test_a_planted_measure_and_prepare_channel_signals_where_planted():
+    """On (2, 2, 2, 2): site 0 <- b0 xor b3, site 1 a fair coin, site 2
+    reset, site 3 keeps b3.  Only site 0's output reads another site, site
+    3's input, so S -> R signals exactly when 3 is in S and 0 in R; every
+    such direction is one-way."""
+    dims = SystemDims((2, 2, 2, 2))
+    d = dims.total
+    p = np.zeros((d, d))
+    for x, bits in enumerate(np.ndindex(dims.dims)):
+        for coin in (0, 1):
+            y = (bits[0] ^ bits[3], coin, 0, bits[3])
+            p[x, np.ravel_multi_index(y, dims.dims)] = 0.5
+    c = _measure_and_prepare(dims, p)
+    directions = _directions(dims)
+    planted = [3 in part.left and 0 in part.right for part in directions]
+    assert 0 < sum(planted) < len(directions)
+    for rep, part, signals in zip(semicausal_defects(c, directions), directions, planted):
+        want = _measure_and_prepare_strength(dims, p, part)
+        assert abs(rep.strength - want) <= 1e-12 * max(1.0, want)
+        assert (rep.strength > 0.1) == signals and (signals or rep.strength <= 1e-12)
+        if signals:
+            assert semicausal_defect(c, part.swapped()).strength <= 1e-12
+
+
 def _frozen_in_order(ops, order, dims):
     """Each op's row and column legs in site ``order``, by the transpose that
     ``_rest_first``, ``_defect_grams`` and ``sorkin_violation`` each wrote out."""
@@ -1018,8 +1087,9 @@ _IMAGE_DIMS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (4, 4)]
 
 
 class TestSorkinFromImages:
-    """A member's Phi(1 (x) O_R) read from its direction's defect images
-    against the Kraus contraction of ``sorkin_violation``."""
+    """A member's Phi(1 (x) O_R) read from its direction's defect images by
+    ``DefectPasses.violations`` against the Kraus contraction of
+    ``sorkin_violation``."""
 
     @pytest.mark.parametrize("dims", _IMAGE_DIMS, ids=_dims_id)
     @pytest.mark.parametrize("kind", ["haar", "kraus", "depolarizing"])
@@ -1027,11 +1097,10 @@ class TestSorkinFromImages:
         dims = SystemDims(dims)
         c = _image_channels(dims)[kind]
         directions = _directions(dims)
-        n = 3
-        passes = DefectPasses(c, directions, n)
-        stack = [p for p in directions for _ in range(n)]
+        passes = DefectPasses(c, directions)
+        stack = [p for p in directions for _ in range(3)]
         s = random_sorkin_scenario(stack, c, RngStream(54))
-        got = sorkin_violation(s, passes)
+        got = passes.violations(s)
         want = sorkin_violation(s)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         assert np.abs(want).max() > 1e-3 or kind == "depolarizing"
@@ -1048,14 +1117,15 @@ class TestSorkinFromImages:
         for part in _directions(dims):
             if _kraus_is_cheaper(c, part):
                 continue
+            passes = DefectPasses(c, [part])
+            passes.violations(random_sorkin_scenario(part, c, g))
+            got = passes._images[0]  # the last direction tested keeps its images
             d_r = part.right_dim
-            obs = g.normal(size=(2, d_r, d_r)) + 1j * g.normal(size=(2, d_r, d_r))
-            obs = obs + obs.conj().swapaxes(-1, -2)
-            got = DefectPasses(c, [part], 2).image(0, obs, [0])
-            full = causality._kraus_image(c.kraus, obs, part)
-            want = causality._off_block(full.copy(), part.left_dim)
+            units = np.eye(d_r * d_r).reshape(-1, d_r, d_r)  # E_rr' at r d_R + r'
+            full = causality._kraus_image(c.kraus, units, part)
+            want = causality._off_block(full.copy(), part.left_dim).reshape(len(units), -1)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(full).max())
-            assert np.abs(full - want).max() > 1e-3  # the in-block part is not zero
+            assert np.abs(full.reshape(want.shape) - want).max() > 1e-3  # in-block part
 
     def test_both_sides_of_the_rule_are_covered(self):
         sides = set()
@@ -1078,9 +1148,8 @@ class TestSorkinFromImages:
             return kraus_image(ks, obs, part)
 
         monkeypatch.setattr(causality, "_kraus_image", spy)
-        passes = DefectPasses(c, directions, 2)
         s = random_sorkin_scenario([p for p in directions for _ in range(2)], c, RngStream(55))
-        sorkin_violation(s, passes)
+        DefectPasses(c, directions).violations(s)
         assert by_kraus == [p for p in directions if _kraus_is_cheaper(c, p)]
 
     def test_a_stack_gives_each_member_alone(self):
@@ -1090,38 +1159,78 @@ class TestSorkinFromImages:
         directions = _directions(dims)
         stack = [p for p in directions for _ in range(3)]
         s = random_sorkin_scenario(stack, c, RngStream(56))
-        together = sorkin_violation(s, DefectPasses(c, directions, 3))
-        alone = DefectPasses(c, directions, 3)
+        together = DefectPasses(c, directions).violations(s)
+        alone = DefectPasses(c, directions)
         g = RngStream(56).generator()
         for j, p in enumerate(stack):
             one = random_sorkin_scenario(p, c, g)
-            assert sorkin_violation(one, alone) == together[j]
+            assert alone.violations(one) == together[j]
 
-    def test_images_go_with_the_last_member(self):
+    def test_images_go_when_the_stack_leaves_their_direction(self):
         dims = SystemDims((2, 2, 2))
         c = _image_channels(dims)["kraus"]
         directions = _directions(dims)
-        passes = DefectPasses(c, directions, 4)
+        passes = DefectPasses(c, directions)
         g = RngStream(57).generator()
-        first = random_sorkin_scenario([directions[0]] * 3, c, g)
-        sorkin_violation(first, passes)
-        held = [x is not None for x in passes._images]
-        assert held == [True] + [False] * (len(directions) - 1)
-        sorkin_violation(random_sorkin_scenario([directions[0]], c, g), passes)
-        assert all(x is None for x in passes._images)
-        # a direction the stacks have not reached has not run its pass
+        passes.violations(random_sorkin_scenario([directions[0]] * 3, c, g))
+        assert list(passes._images) == [0]
+        # the next stack continues the direction: its images are still read
+        passes.violations(random_sorkin_scenario([directions[0]], c, g))
+        assert list(passes._images) == [0]
+        # directions 0 and 2 have one shape, yet the pass that reached 0
+        # could not stack 2, which its stack did not hold
+        passes.violations(random_sorkin_scenario([directions[2]], c, g))
+        assert list(passes._images) == [2]
         ran = [s is not None for s in passes._strength]
-        assert ran == [True] + [False] * (len(directions) - 1)
+        assert ran == [True, False, True] + [False] * (len(directions) - 3)
+        passes.strengths()
+        assert passes._images == {}
+
+    @pytest.mark.parametrize("order", ["reversed", "interleaved"])
+    def test_images_are_held_for_the_stack_under_test(self, order, monkeypatch):
+        dims = SystemDims((2, 3, 2))
+        c = _image_channels(dims)["kraus"]
+        directions = _directions(dims)
+        assert not any(_kraus_is_cheaper(c, p) for p in directions)
+        members = {
+            "reversed": directions[::-1] * 2,
+            "interleaved": [directions[j] for k in (0, 2, 4) for j in (k, k + 1) * 2],
+        }[order]
+        passes = DefectPasses(c, directions)
+        held_at_passes = []
+        defect_images = causality._defect_images
+
+        def spy(channel, parts):
+            # the run that reached parts[0] is its first in the stack
+            rest = stack[stack.index(parts[0]):]
+            held = {passes.parts[j] for j in passes._images}
+            assert held <= set(rest)
+            held_at_passes.append(len(held))
+            return defect_images(channel, parts)
+
+        monkeypatch.setattr(causality, "_defect_images", spy)
+        g = RngStream(64).generator()
+        for start in range(0, len(members), 10):
+            stack = members[start : start + 10]
+            s = random_sorkin_scenario(stack, c, g)
+            got = passes.violations(s)
+            want = sorkin_violation(s)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert {passes.parts[j] for j in passes._images} <= set(stack)
+        # every direction ran once, and some pass ran while images were held
+        assert None not in passes._strength
+        assert len(held_at_passes) <= len(directions) and max(held_at_passes) > 0
 
     def test_refuses_other_channels_and_directions(self):
         dims = SystemDims((2, 3))
         c = _image_channels(dims)["kraus"]
         part = _directions(dims)[0]
         s = random_sorkin_scenario(part, c, RngStream(58))
+        other = random_kraus_channel(dims, 3, RngStream(59))
         with pytest.raises(ValueError, match="another channel"):
-            sorkin_violation(s, DefectPasses(random_kraus_channel(dims, 3, RngStream(59)), [part]))
+            DefectPasses(other, [part]).violations(s)
         with pytest.raises(ValueError, match="not one of"):
-            sorkin_violation(s, DefectPasses(c, [part.swapped()]))
+            DefectPasses(c, [part.swapped()]).violations(s)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)], ids=_dims_id)
